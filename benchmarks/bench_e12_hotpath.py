@@ -32,8 +32,9 @@ from repro.lang.program import Program
 CASES = [
     ("peterson_b12", lambda: (peterson_program(once=True), PETERSON_INIT),
      12, RAMemoryModel, "none"),
-    ("peterson_b12_dpor", lambda: (peterson_program(once=True), PETERSON_INIT),
-     12, RAMemoryModel, "dpor"),
+    ("peterson_b12_optimal",
+     lambda: (peterson_program(once=True), PETERSON_INIT),
+     12, RAMemoryModel, "optimal"),
     ("chain3_ra", lambda: _chain_program(3), None, RAMemoryModel, "none"),
     ("chain3_sra", lambda: _chain_program(3), None, SRAMemoryModel, "none"),
 ]
@@ -181,7 +182,7 @@ def test_hotpath_states_per_sec(benchmark, bench_json):
     assert headline["speedup_lower"] >= 1.25
 
 
-@pytest.mark.parametrize("reduction", ["none", "sleep", "dpor"])
+@pytest.mark.parametrize("reduction", ["none", "sleep", "optimal"])
 def test_hotpath_outcome_parity_across_representations(reduction):
     """The A/B legs of every recorded case agree outcome-for-outcome —
     rechecked here under each reduction so the bench file is

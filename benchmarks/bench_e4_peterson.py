@@ -5,7 +5,7 @@
 * The relaxed-turn mutant *violates* mutual exclusion (with a concrete
   counterexample trace), and is fine under SC — the bug is
   weak-memory-specific, which is the paper's motivation in one line.
-* Partial-order reduction (DESIGN.md §9): DPOR explores the same
+* Partial-order reduction (DESIGN.md §9): optimal DPOR explores the same
   outcomes and verdicts with a multi-× smaller configuration count;
   recorded side by side with the unreduced run via ``--bench-json``.
 """
@@ -129,31 +129,25 @@ def test_relaxed_turn_mutant_safe_under_sc(benchmark):
 
 
 def test_por_reduction_bound12(benchmark, bench_json):
-    """DPOR vs full exploration at bound 12: identical outcome set and
-    truncation, ≥2× fewer visited configurations (the E4 headline of
-    the reduction subsystem) — and the parsimonious ``optimal`` tier
-    (DESIGN.md §13) strictly below DPOR, under both state equivalences."""
+    """Optimal DPOR (DESIGN.md §13) vs full exploration at bound 12:
+    identical outcome set and truncation, ≥2× fewer visited
+    configurations (the E4 headline of the reduction subsystem)."""
     from repro.litmus.registry import final_values
 
     model = RAMemoryModel()
     program = peterson_program(once=True)
 
     def runs():
-        per_reduction = {}
-        for label, reduction, equivalence in (
-            ("none", "none", "shasha-snir"),
-            ("dpor", "dpor", "shasha-snir"),
-            ("optimal", "optimal", "shasha-snir"),
-            ("optimal+rf", "optimal", "reads-from"),
-        ):
-            per_reduction[label] = explore(
+        return {
+            reduction: explore(
                 program, PETERSON_INIT, model, max_events=12,
-                reduction=reduction, equivalence=equivalence,
+                reduction=reduction,
             )
-        return per_reduction
+            for reduction in ("none", "optimal")
+        }
 
     results = once(benchmark, runs)
-    full, reduced = results["none"], results["dpor"]
+    full, reduced = results["none"], results["optimal"]
     outcomes = lambda r: {  # noqa: E731 — local shorthand
         tuple(sorted(final_values(c).items())) for c in r.terminal
     }
@@ -166,7 +160,7 @@ def test_por_reduction_bound12(benchmark, bench_json):
             for label, r in results.items()
         ]
         + [
-            f"reduction: {ratio:.2f}x fewer configs (dpor); engine: "
+            f"reduction: {ratio:.2f}x fewer configs (optimal); engine: "
             f"{reduced.stats.summary()}",
         ],
     )
@@ -176,9 +170,6 @@ def test_por_reduction_bound12(benchmark, bench_json):
     assert reduced.configs * 2 <= full.configs, (
         f"expected >=2x reduction, got {ratio:.2f}x"
     )
-    # The parsimonious explorer's acceptance bar: strictly below DPOR.
-    assert results["optimal"].configs < reduced.configs
-    assert results["optimal+rf"].configs <= results["optimal"].configs
     bench_json.record(
         "e4_peterson_por_bound12",
         {
@@ -192,18 +183,17 @@ def test_por_reduction_bound12(benchmark, bench_json):
                 }
                 for label, r in results.items()
             },
-            "config_ratio": ratio,
-            "optimal_config_ratio": full.configs / results["optimal+rf"].configs,
+            "optimal_config_ratio": ratio,
             "outcome_parity": True,
         },
     )
-    benchmark.extra_info["config_ratio"] = ratio
+    benchmark.extra_info["optimal_config_ratio"] = ratio
 
 
 def test_por_mutant_verdict_parity(benchmark, bench_json):
     """The relaxed-turn mutant's mutual-exclusion violation survives the
-    reduction: DPOR finds it too, and its counterexample replays as a
-    valid unreduced trace (control visibility at work)."""
+    reduction: optimal DPOR finds it too, and its counterexample replays
+    as a valid unreduced trace (control visibility at work)."""
     program = peterson_relaxed_turn(once=True)
 
     def runs():
@@ -213,16 +203,17 @@ def test_por_mutant_verdict_parity(benchmark, bench_json):
         )
         reduced = explore(
             program, PETERSON_INIT, RAMemoryModel(), max_events=10,
-            check_config=mutual_exclusion_violations, reduction="dpor",
+            check_config=mutual_exclusion_violations, reduction="optimal",
         )
         return full, reduced
 
     full, reduced = once(benchmark, runs)
     table(
-        "E4: relaxed-turn mutant under DPOR",
+        "E4: relaxed-turn mutant under optimal DPOR",
         [
             f"none: configs={full.configs} violations={len(full.violations)}",
-            f"dpor: configs={reduced.configs} violations={len(reduced.violations)}",
+            f"optimal: configs={reduced.configs} "
+            f"violations={len(reduced.violations)}",
         ],
     )
     assert not full.ok and not reduced.ok
@@ -234,7 +225,7 @@ def test_por_mutant_verdict_parity(benchmark, bench_json):
             "program": "peterson_relaxed_turn(once)",
             "max_events": 10,
             "none_configs": full.configs,
-            "dpor_configs": reduced.configs,
+            "optimal_configs": reduced.configs,
             "violated_both": True,
         },
     )

@@ -30,11 +30,11 @@ is timer noise.
 
 **``e8_peterson_reduction_series``** — reduction quality.  Config
 counts are deterministic (machine-independent), so the per-bound
-``dpor_config_ratio`` / ``optimal_config_ratio`` columns are gated
-directly: the how-much-smaller-than-unreduced ratio of each reduction
-tier must not fall below the committed baseline beyond tolerance.  A
-change that quietly weakens the parsimonious explorer (DESIGN.md §13)
-or DPOR therefore fails CI even while outcome parity still holds.
+``optimal_config_ratio`` column is gated directly: the
+how-much-smaller-than-unreduced ratio of the DPOR tier must not fall
+below the committed baseline beyond tolerance.  A change that quietly
+weakens the parsimonious explorer (DESIGN.md §13) therefore fails CI
+even while outcome parity still holds.
 
 **``e13_sharded``** — sharded-exploration scaling.  The stall-injected
 shard series (see ``bench_e13_sharded.py``) records per-shard-count
@@ -140,7 +140,7 @@ def check_hotpath(base_record, cur_record, tolerance, failures) -> None:
 
 
 def check_reduction_series(base_record, cur_record, tolerance, failures) -> None:
-    """Gate the per-bound reduction config ratios of the E8 series."""
+    """Gate the per-bound reduction config ratio of the E8 series."""
     base_by_bound = {s["bound"]: s for s in base_record.get("series", [])}
     cur_by_bound = {s["bound"]: s for s in cur_record.get("series", [])}
     print(f"{'series':<28} {'baseline':>9} {'current':>9}  (configs ratio vs none)")
@@ -149,29 +149,28 @@ def check_reduction_series(base_record, cur_record, tolerance, failures) -> None
         if cur is None:
             failures.append(f"reduction series: bound {bound} missing from current run")
             continue
-        for column in ("dpor_config_ratio", "optimal_config_ratio"):
-            base_ratio = base.get(column)
-            cur_ratio = cur.get(column)
-            if base_ratio is None:
-                continue  # older baseline without this tier
-            if cur_ratio is None:
-                failures.append(
-                    f"reduction series bound {bound}: {column} missing "
-                    "from current run"
-                )
-                continue
-            flag = ""
-            if cur_ratio < base_ratio * (1.0 - tolerance):
-                failures.append(
-                    f"reduction series bound {bound}: {column} fell to "
-                    f"{cur_ratio:.2f}x (baseline {base_ratio:.2f}x, "
-                    f"tolerance {tolerance:.0%})"
-                )
-                flag = "  ** REGRESSION **"
-            print(
-                f"bound {bound:>2} {column:<19} {base_ratio:>8.2f}x "
-                f"{cur_ratio:>8.2f}x{flag}"
+        base_ratio = base.get("optimal_config_ratio")
+        cur_ratio = cur.get("optimal_config_ratio")
+        if base_ratio is None:
+            continue  # older baseline without this tier
+        if cur_ratio is None:
+            failures.append(
+                f"reduction series bound {bound}: optimal_config_ratio "
+                "missing from current run"
             )
+            continue
+        flag = ""
+        if cur_ratio < base_ratio * (1.0 - tolerance):
+            failures.append(
+                f"reduction series bound {bound}: optimal_config_ratio fell "
+                f"to {cur_ratio:.2f}x (baseline {base_ratio:.2f}x, "
+                f"tolerance {tolerance:.0%})"
+            )
+            flag = "  ** REGRESSION **"
+        print(
+            f"bound {bound:>2} optimal_config_ratio {base_ratio:>8.2f}x "
+            f"{cur_ratio:>8.2f}x{flag}"
+        )
 
 
 #: The E13 acceptance bar: wall-clock speedup at 4 shards on the

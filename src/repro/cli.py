@@ -31,9 +31,8 @@ Commands
     (test, model) pair, fanned out over ``--jobs`` worker processes.
     ``--strategy`` selects the search order (bfs / dfs / iddfs),
     ``--reduction`` a partial-order reduction (DESIGN.md §9; the
-    parsimonious ``optimal`` tier is §13) and ``--equivalence`` the
-    abstraction dpor/optimal key configurations by; the verdicts are
-    strategy-, reduction- and parallelism-independent.
+    parsimonious ``optimal`` tier is §13); the verdicts are strategy-,
+    reduction- and parallelism-independent.
 
 ``fuzz``
     Differential fuzzing (DESIGN.md §6): generate ``--iters`` random
@@ -62,8 +61,8 @@ Commands
     ``verify --file F.litmus --outline SPEC.py`` checks an ad-hoc
     program against an outline built in a Python spec file.
     ``--reduction sleep`` is verdict-preserving (sleep sets visit every
-    configuration); ``dpor`` and ``optimal`` prune configurations — the
-    very domain the obligations quantify over — so the workbench falls
+    configuration); ``optimal`` prunes configurations — the very
+    domain the obligations quantify over — so the workbench falls
     back to the unreduced search and says so.  Exit code 1 iff any
     obligation failed.
 """
@@ -74,6 +73,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.engine.por import REDUCTIONS
 from repro.interp.memory_model import MemoryModel
 from repro.interp.ra_model import RAMemoryModel
 from repro.interp.sc import SCMemoryModel
@@ -216,19 +216,6 @@ def _profile_lines(configs: int, stats) -> List[str]:
     ]
 
 
-def _check_equivalence(args: argparse.Namespace) -> None:
-    """A non-default equivalence only means something to the keyed
-    reductions — fail up front instead of tracebacking in explore()."""
-    if args.equivalence != "shasha-snir" and args.reduction not in (
-        "dpor", "optimal",
-    ):
-        raise SystemExit(
-            f"--equivalence {args.equivalence} requires --reduction "
-            "dpor or optimal (the tiers that key visited configurations "
-            "— DESIGN.md §13)"
-        )
-
-
 def _check_shards(args: argparse.Namespace) -> None:
     """Fail sharding misconfigurations up front with CLI-shaped errors
     (explore() raises the same constraints as ValueErrors)."""
@@ -244,7 +231,7 @@ def _check_shards(args: argparse.Namespace) -> None:
         if args.reduction not in ("none", "sleep"):
             raise SystemExit(
                 f"--shards supports --reduction none or sleep, not "
-                f"{args.reduction!r} (dpor/optimal carry cross-state "
+                f"{args.reduction!r} (optimal carries cross-state "
                 "scheduling state that does not partition — DESIGN.md §15)"
             )
 
@@ -257,7 +244,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
     from repro.lang.parser import run_parsed_litmus
 
-    _check_equivalence(args)
     _check_shards(args)
     parsed = _load(args.file)
     model = _model(args.model)
@@ -284,7 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         reachable, result = run_parsed_litmus(
             parsed, model=model, max_events=args.max_events,
             strategy=args.strategy, reduction=args.reduction,
-            equivalence=args.equivalence, shards=args.shards,
+            shards=args.shards,
             spill_dir=spill_dir, spill_max_bytes=spill_max_bytes,
             checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
             resume=args.resume,
@@ -371,7 +357,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         litmus_jobs,
     )
 
-    _check_equivalence(args)
     _check_shards(args)
     models = [m.strip().lower() for m in args.models.split(",")]
     for name in models:
@@ -381,13 +366,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
             )
     work = litmus_jobs(
         models=models, extra=args.extra, strategy=args.strategy,
-        reduction=args.reduction, equivalence=args.equivalence,
-        shards=args.shards,
+        reduction=args.reduction, shards=args.shards,
     )
     if args.case_studies:
         work += case_study_jobs(
             strategy=args.strategy, reduction=args.reduction,
-            equivalence=args.equivalence, shards=args.shards,
+            shards=args.shards,
         )
 
     runner = ParallelRunner(jobs=args.jobs)
@@ -436,11 +420,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     )
     candidates = totals["expanded"] + totals["pruned"]
     if args.reduction != "none" and candidates:
-        tier = args.reduction
-        if args.equivalence != "shasha-snir":
-            tier += f" equivalence={args.equivalence}"
         print(
-            f"reduction={tier}: pruned {totals['pruned']}/{candidates} "
+            f"reduction={args.reduction}: "
+            f"pruned {totals['pruned']}/{candidates} "
             f"thread-expansions ({100.0 * totals['pruned'] / candidates:.0f}%), "
             f"sleep-hits={totals['sleep_hits']} races={totals['races']} "
             f"revisits={totals['revisits']}"
@@ -479,7 +461,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz.generator import PROFILES
     from repro.fuzz.runner import run_campaign
 
-    _check_equivalence(args)
     if args.profile not in PROFILES:
         raise SystemExit(
             f"unknown profile {args.profile!r}; choose from {sorted(PROFILES)}"
@@ -499,7 +480,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             axiomatic=not args.no_axiomatic,
             shrink=not args.no_shrink,
             reduction=args.reduction,
-            equivalence=args.equivalence,
             check_orders=args.check_orders,
             check_lowering=args.check_lowering,
             check_shards=args.check_shards,
@@ -558,12 +538,12 @@ def _verify_reduction(args: argparse.Namespace) -> str:
     """Resolve ``--reduction`` for obligation discharge.
 
     Sleep sets visit every configuration the full search visits, so the
-    proof verdict is reduction-independent under ``sleep``.  DPOR and
-    the parsimonious tier prune configurations — the domain the
-    obligations quantify over — so they cannot discharge them; fall
-    back loudly (DESIGN.md §10).
+    proof verdict is reduction-independent under ``sleep``.  The
+    ``optimal`` DPOR tier prunes configurations — the domain the
+    obligations quantify over — so it cannot discharge them; fall back
+    loudly (DESIGN.md §10).
     """
-    if args.reduction in ("dpor", "optimal"):
+    if args.reduction == "optimal":
         print(
             f"note: {args.reduction} prunes configurations, which proof "
             "obligations quantify over; falling back to --reduction none "
@@ -932,17 +912,6 @@ def _add_obs_flags(sub: argparse.ArgumentParser, progress: bool = False) -> None
         )
 
 
-def _add_equivalence_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--equivalence", default="shasha-snir",
-        choices=["shasha-snir", "reads-from"],
-        help="abstraction dpor/optimal key visited configurations by: "
-        "'shasha-snir' is the canonical per-location order key, "
-        "'reads-from' additionally quotients dead modification-order "
-        "runs (RA only — SRA keeps the canonical key; DESIGN.md §13)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -969,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "dpor", "optimal"],
+        choices=REDUCTIONS,
         help="partial-order reduction (outcome-identical, fewer configs; "
         "'optimal' is the parsimonious tier, DESIGN.md §13)",
     )
@@ -1018,7 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'kill-worker:shard=1,round=2;interrupt:configs=500' — same "
         "grammar as REPRO_FAULTS (DESIGN.md §16)",
     )
-    _add_equivalence_flag(run)
     _add_obs_flags(run)
     run.set_defaults(func=cmd_run)
 
@@ -1041,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "dpor", "optimal"],
+        choices=REDUCTIONS,
         help="partial-order reduction applied in every job "
         "(verdict-identical by design; see DESIGN.md §9 and §13)",
     )
@@ -1051,7 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its job (in-process superstep schedule inside pool workers; "
         "verdict-identical — DESIGN.md §15)",
     )
-    _add_equivalence_flag(suite)
     _add_obs_flags(suite, progress=True)
     suite.set_defaults(func=cmd_suite)
 
@@ -1071,13 +1038,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator size/shape preset (default | small | wide)",
     )
     fuzz.add_argument(
-        "--reduction", default="dpor",
-        choices=["none", "sleep", "dpor", "optimal"],
+        "--reduction", default="optimal",
+        choices=REDUCTIONS,
         help="reduction the POR-parity oracle cross-validates against "
-        "the full search ('none' disables the oracle; 'optimal' also "
-        "replays the dpor baseline tier)",
+        "the full search ('none' disables the oracle)",
     )
-    _add_equivalence_flag(fuzz)
     fuzz.add_argument(
         "--check-orders", action="store_true",
         help="cross-check the compact (interned/bitset) derived orders "
@@ -1164,9 +1129,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "dpor", "optimal"],
+        choices=REDUCTIONS,
         help="partial-order reduction; sleep is verdict-preserving for "
-        "obligations, dpor/optimal fall back to none (DESIGN.md §10)",
+        "obligations, optimal falls back to none (DESIGN.md §10)",
     )
     verify.add_argument(
         "--max-events", type=int, default=None,

@@ -15,7 +15,7 @@ File format (``repro-ckpt/1``)::
 
 * The **fingerprint** identifies the run the state belongs to: a digest
   of the program source, the model name, the bounds, strategy,
-  reduction, equivalence and shard count.  Resuming checks every field
+  reduction and shard count.  Resuming checks every field
   and refuses a mismatch — resuming Peterson's frontier into a litmus
   test would otherwise fail in silently wrong ways.
 * The **payload** is algorithm-tagged loop state (``"plain"`` for the
@@ -64,7 +64,6 @@ def run_fingerprint(
     max_configs,
     strategy: str,
     reduction: str,
-    equivalence: str,
     canonicalize: bool,
     shards: int,
 ) -> dict:
@@ -92,7 +91,6 @@ def run_fingerprint(
         "max_configs": max_configs,
         "strategy": strategy,
         "reduction": reduction,
-        "equivalence": equivalence,
         "canonicalize": canonicalize,
         "shards": shards,
     }

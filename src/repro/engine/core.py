@@ -129,7 +129,7 @@ class ExplorationResult(Generic[S]):
         if not self.violations:
             return None
         v = self.violations[0]
-        key = _key_of(v.config, self._model, self._canonicalize, self._equivalence)
+        key = _key_of(v.config, self._model, self._canonicalize)
         steps = self.trace_to(key)
         if v.step is not None:
             steps.append(v.step)
@@ -138,9 +138,6 @@ class ExplorationResult(Generic[S]):
     # Attached by `explore` so traces can be rebuilt.
     _model: Optional[MemoryModel[S]] = None
     _canonicalize: bool = True
-    #: the state equivalence the parent map was keyed under — trace
-    #: reconstruction must rekey violations with the same function
-    _equivalence: str = "shasha-snir"
 
 
 def _state_size(state) -> int:
@@ -158,15 +155,9 @@ def _key_of(
     config: Configuration[S],
     model: MemoryModel[S],
     canonicalize: bool = True,
-    equivalence: str = "shasha-snir",
 ) -> ConfigKey:
     if not canonicalize:
         return (config.program, config.state)
-    if equivalence == "reads-from":
-        from repro.engine.por.deps import pending_steps
-
-        live = pending_steps(config.program).keys()
-        return (config.program, model.reads_from_state_key(config.state, live))
     return (config.program, model.canonical_state_key(config.state))
 
 
@@ -183,7 +174,6 @@ def explore(
     canonicalize: bool = True,
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     shards: int = 1,
     shard_processes: Optional[bool] = None,
     spill_dir: Optional[str] = None,
@@ -217,29 +207,20 @@ def explore(
     ``reduction`` selects a partial-order reduction (DESIGN.md §9):
     ``"none"`` (this loop), ``"sleep"`` (sleep-set transition pruning —
     visits the same configurations, hook-safe for any ``check_config``
-    property) or ``"dpor"`` (source-set DPOR — prunes configurations
-    while preserving terminal outcome sets, control-observable
-    violation verdicts and truncation flags; only ``configs`` may
-    shrink).  Reduced runs perform their own traversal: ``"dpor"`` is
-    inherently depth-first and ``"sleep"`` skips the deepening loop.
+    property) or ``"optimal"`` (parsimonious race-reversal DPOR,
+    DESIGN.md §13 — prunes configurations while preserving terminal
+    outcome sets, control-observable violation verdicts and truncation
+    flags; only ``configs`` may shrink).  Reduced runs perform their
+    own traversal: ``"optimal"`` is inherently depth-first and
+    ``"sleep"`` skips the deepening loop.
     ``check_step`` hooks quantify over transitions.  Under ``"sleep"``
     they fire only on the transitions the reduction keeps, but because
     sleep sets visit every configuration the full search visits, an
     *inductive* step property (one whose per-transition failures imply a
     failure on some kept transition along an explored path — proof
     outlines, DESIGN.md §10) reaches the same verdict; the hook is
-    therefore allowed.  ``"dpor"``/``"optimal"`` prune configurations
-    themselves, so combining them with ``check_step`` raises
-    ``ValueError``.
-
-    ``equivalence`` selects the state abstraction the reducing
-    explorers key their prune store by (DESIGN.md §13):
-    ``"shasha-snir"`` (default, the canonical key) or ``"reads-from"``
-    (the observation quotient — states differing only in the ``mo`` of
-    dead writes merge).  Only ``"dpor"`` and ``"optimal"`` consult it;
-    the unreduced and sleep searches enumerate configurations
-    themselves, so a coarser key would change *what* they visit, and a
-    non-default equivalence raises ``ValueError`` there.
+    therefore allowed.  ``"optimal"`` prunes configurations itself,
+    so combining it with ``check_step`` raises ``ValueError``.
 
     ``shards > 1`` runs the hash-partitioned sharded search
     (:mod:`repro.engine.shard`, DESIGN.md §15): breadth-first only,
@@ -266,7 +247,7 @@ def explore(
     (``iddfs`` restarts its frontier per round; the backtracking
     reductions keep per-key state the snapshot format does not cover).
     """
-    from repro.engine.por import EQUIVALENCES, REDUCTIONS, explore_reduced
+    from repro.engine.por import REDUCTIONS, explore_reduced
     from repro.interp.compiled import maybe_lower
 
     spilling = spill_max_entries is not None or spill_max_bytes is not None
@@ -321,7 +302,6 @@ def explore(
             canonicalize=canonicalize,
             strategy=strategy,
             reduction=reduction,
-            equivalence=equivalence,
             processes=shard_processes,
             spill_dir=spill_dir,
             spill_max_entries=spill_max_entries,
@@ -342,16 +322,6 @@ def explore(
         raise ValueError(
             f"unknown reduction {reduction!r}; choose from {REDUCTIONS}"
         )
-    if equivalence not in EQUIVALENCES:
-        raise ValueError(
-            f"unknown equivalence {equivalence!r}; choose from {EQUIVALENCES}"
-        )
-    if equivalence != "shasha-snir" and reduction not in ("dpor", "optimal"):
-        raise ValueError(
-            f"equivalence {equivalence!r} only applies to the 'dpor' and "
-            f"'optimal' reductions; reduction={reduction!r} enumerates "
-            "configurations itself and must key them exactly"
-        )
     fingerprint = None
     resume_payload = None
     if checkpoint is not None or resume is not None:
@@ -361,7 +331,7 @@ def explore(
             program, init_values, model,
             max_events=max_events, max_configs=max_configs,
             strategy=strategy, reduction=reduction,
-            equivalence=equivalence, canonicalize=canonicalize, shards=1,
+            canonicalize=canonicalize, shards=1,
         )
         if resume is not None:
             _, resume_payload = read_checkpoint(resume, expect=fingerprint)
@@ -376,8 +346,6 @@ def explore(
         kwargs_step = {}
         if check_step is not None:
             kwargs_step["check_step"] = check_step
-        if reduction in ("dpor", "optimal"):
-            kwargs_step["equivalence"] = equivalence
         if spill_dir is not None and reduction == "sleep":
             kwargs_step["spill_dir"] = spill_dir
             kwargs_step["spill_max_entries"] = spill_max_entries
@@ -754,7 +722,7 @@ def reachable_states(
     the ``O(n log n)`` canonicalisation (DESIGN.md §4).
 
     ``reduction="sleep"`` still enumerates every reachable state (sleep
-    sets prune transitions, not configurations); ``"dpor"`` prunes
+    sets prune transitions, not configurations); ``"optimal"`` prunes
     configurations and thus returns a *subset* of the reachable states —
     fine for reaching terminal states fast, wrong for per-state
     universal checks, which is why the soundness/completeness checkers

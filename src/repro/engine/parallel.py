@@ -71,12 +71,8 @@ class SuiteJob:
     #: partial-order reduction applied by the worker's exploration
     #: (DESIGN.md §9); verdicts are reduction-independent by design.
     #: Verify jobs admit only the configuration-identical "sleep" tier
-    #: and fall back to "none" under "dpor"/"optimal" (DESIGN.md §10).
+    #: and fall back to "none" under "optimal" (DESIGN.md §10).
     reduction: str = "none"
-    #: state equivalence keying the reduction's visited store
-    #: (DESIGN.md §13); consulted only by "dpor"/"optimal" and reset to
-    #: the default whenever a job falls back to another tier.
-    equivalence: str = "shasha-snir"
     #: intra-run shards for this job's exploration (DESIGN.md §15).
     #: Suite workers are daemonic pool processes, so a shards > 1 job
     #: runs the sharded search in its in-process mode — same parity
@@ -182,7 +178,6 @@ def litmus_jobs(
     extra: bool = False,
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     shards: int = 1,
 ) -> List[SuiteJob]:
     """One job per (litmus test, model) over the built-in suite."""
@@ -193,7 +188,7 @@ def litmus_jobs(
     return [
         SuiteJob(
             kind="litmus", name=test.name, model=model, strategy=strategy,
-            reduction=reduction, equivalence=equivalence, shards=shards,
+            reduction=reduction, shards=shards,
         )
         for test in tests
         for model in models
@@ -203,13 +198,12 @@ def litmus_jobs(
 def case_study_jobs(
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     shards: int = 1,
 ) -> List[SuiteJob]:
     """The case-study checks as suite jobs (RA model, modest bounds)."""
     return [
         SuiteJob(kind="case-study", name=name, strategy=strategy,
-                 reduction=reduction, equivalence=equivalence, shards=shards)
+                 reduction=reduction, shards=shards)
         for name in CASE_STUDIES
     ]
 
@@ -268,8 +262,7 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
     test = _litmus_by_name(job.name)
     outcome = run_litmus(
         test, model, max_configs=job.max_configs, strategy=job.strategy,
-        reduction=job.reduction, equivalence=job.equivalence,
-        shards=job.shards,
+        reduction=job.reduction, shards=job.shards,
     )
     stats = outcome.result.stats
     return SuiteJobResult(
@@ -298,7 +291,6 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
 
 def _case_study_exploration(name: str, strategy: str, max_configs,
                             reduction: str = "none",
-                            equivalence: str = "shasha-snir",
                             shards: int = 1):
     from repro.casestudies.dekker import (
         DEKKER_INIT,
@@ -379,7 +371,6 @@ def _case_study_exploration(name: str, strategy: str, max_configs,
         check_config=check,
         strategy=strategy,
         reduction=reduction,
-        equivalence=equivalence,
         shards=shards,
     )
 
@@ -387,7 +378,7 @@ def _case_study_exploration(name: str, strategy: str, max_configs,
 def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
     result = _case_study_exploration(
         job.name, job.strategy, job.max_configs, reduction=job.reduction,
-        equivalence=job.equivalence, shards=job.shards,
+        shards=job.shards,
     )
     return SuiteJobResult(
         job=job,
@@ -418,16 +409,14 @@ def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
 
     The obligations quantify over every reachable transition, so only
     the configuration-identical ``"sleep"`` reduction is admissible;
-    ``"dpor"`` and ``"optimal"`` fall back to the unreduced search
+    ``"optimal"`` falls back to the unreduced search
     (DESIGN.md §10 — the CLI prints the fallback note once, this keeps
     workers consistent with it).
     """
     from repro.verify.registry import PROOFS
 
     entry = PROOFS.get(job.name)
-    reduction = (
-        "none" if job.reduction in ("dpor", "optimal") else job.reduction
-    )
+    reduction = "none" if job.reduction == "optimal" else job.reduction
     report = entry.check(
         job.model, strategy=job.strategy, reduction=reduction,
         max_configs=job.max_configs,

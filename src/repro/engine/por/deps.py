@@ -38,34 +38,7 @@ from repro.lang.semantics import PendingStep, is_terminated
 from repro.lang.syntax import Com, program_counter
 
 #: Reduction modes accepted by ``explore(reduction=...)`` and the CLI.
-REDUCTIONS = ("none", "sleep", "dpor", "optimal")
-
-#: State equivalences the reducing explorers can key their prune store
-#: by.  ``shasha-snir`` is the classical equivalence the canonical key
-#: realises (events + rf + full per-variable mo); ``reads-from`` keys by
-#: the observation abstraction instead — the rf map and covered-write
-#: masks of ``c11/compact.py``, with the modification order quotiented
-#: over *dead* writes (never read, not covered, observable to no live
-#: thread, and not mo-final) whose relative order no continuation can
-#: distinguish (DESIGN.md §13).
-EQUIVALENCES = ("shasha-snir", "reads-from")
-
-
-class RaceWitness(NamedTuple):
-    """One detected race, with the sequence that reverses it.
-
-    ``index`` is the position (in the explorer's root-to-node edge
-    list) of the earlier racing step, ``tid`` the thread of the later
-    one, and ``view`` the *minimal reversing sequence*: the thread ids
-    of the not-happens-after witness suffix, in trace order, followed
-    by ``tid`` itself.  Replaying ``view`` from the node at ``index``
-    executes the race the other way around — the parsimonious
-    alternative to a wakeup tree (DESIGN.md §13).
-    """
-
-    index: int
-    tid: int
-    view: Tuple[int, ...]
+REDUCTIONS = ("none", "sleep", "optimal")
 
 
 class StepFootprint(NamedTuple):
@@ -179,9 +152,7 @@ def pending_steps(program) -> "dict[int, PendingStep]":
 
 __all__ = [
     "EMPTY_FOOTPRINT",
-    "EQUIVALENCES",
     "REDUCTIONS",
-    "RaceWitness",
     "StepFootprint",
     "conflicts",
     "control_signature",

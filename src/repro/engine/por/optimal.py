@@ -1,48 +1,62 @@
 """Parsimonious race-reversal DPOR (``"optimal"``, DESIGN.md §13).
 
-The ``"dpor"`` tier (:mod:`.dpor`) schedules each detected race by
-inserting a *single initial* of the reversing witness into an
-ancestor's backtrack set; from there the reversal is re-discovered step
-by step, with every fresh node seeding an arbitrary awake thread and
-relying on sleep sets and the visited store to cut the wandering short.
-This tier follows "Parsimonious Optimal Dynamic Partial Order
-Reduction" (Jonsson et al., arXiv 2405.11128) instead: a race is
-scheduled as its full minimal reversing sequence — a *view* — and the
-re-exploration *descends the view*, executing exactly the witness steps
-in order until the reversal is realised.  Intermediate nodes explore
-only the guided direction (plus whatever later races insert at them),
-so the detour between reversal and rejoining the visited state space is
-as short as the witness itself — the effect wakeup trees buy in
-classical optimal DPOR, without maintaining trees:
+A depth-first exploration in the Flanagan–Godefroid / Abdulla et al.
+mould, thread-granular (each thread has exactly one pending step, so
+choosing a thread chooses its step and only the memory model branches
+below it), following "Parsimonious Optimal Dynamic Partial Order
+Reduction" (Jonsson et al., arXiv 2405.11128):
 
-* **Views, not wakeup trees** — a view is an ordinary tuple of thread
-  ids (:class:`~repro.engine.por.deps.RaceWitness`), dead after one
-  descent.  Wakeup trees exist to *persist* minimal sequences across
-  sleep-set blocking inside a stateless search; here the stateful
-  visited store (canonical keys × sleep-set antichains, inherited from
-  :mod:`.dpor`) already remembers every explored subtree, so a blocked
-  view can simply be dropped — its trace is covered — and nothing needs
-  grafting (DESIGN.md §13).
-* **At most one scheduled view per head** — a view is only inserted
-  when no initial of its witness is already among the node's done,
-  active or scheduled heads (the same source-set skip rule as
-  ``"dpor"``), so ``pending`` holds at most one view per thread and
-  cannot grow beyond the thread count.
-* **Equivalence-parameterised keying** — the visited store can key by
-  the canonical (Shasha–Snir) key or by the *reads-from* quotient
-  (``equivalence="reads-from"``): configurations that agree on events,
-  ``rf`` and covered writes but order dead writes differently in ``mo``
-  merge, shrinking ``configs`` further (DESIGN.md §13; the per-model
-  key hooks keep the knob verdict-preserving — SRA falls back to the
-  exact key).
+* **Race detection** — every executed step carries a vector clock (the
+  join of its thread's history with the clocks of the conflicting
+  accesses it extends).  On *entering* a configuration, the pending
+  step of **every** thread — picked for exploration or not — is
+  compared against the *last* conflicting accesses on the current path
+  (last write per location read, last write plus per-thread last reads
+  per location written, last visible step when control visibility is
+  on); any such access not already happens-before the thread is a race.
+* **Views, not wakeup trees** — a race is scheduled at the
+  configuration its earlier step was executed from as its full minimal
+  reversing sequence — a *view*, an ordinary tuple of thread ids — and
+  the re-exploration *descends the view*, executing exactly the witness
+  steps in order until the reversal is realised.  Intermediate nodes
+  explore only the guided direction (plus whatever later races insert
+  at them), so the detour between reversal and rejoining the visited
+  state space is as short as the witness itself — the effect wakeup
+  trees buy in classical optimal DPOR.  Wakeup trees exist to *persist*
+  minimal sequences across sleep-set blocking inside a stateless
+  search; here the visited store already remembers every explored
+  subtree, so a blocked view can simply be dropped — its trace is
+  covered — and nothing needs grafting.
+* **At most one scheduled view per head** — the *source-set* skip rule
+  (Abdulla et al.): a view is only inserted when no initial of its
+  witness is already among the node's done, active or scheduled heads,
+  so ``pending`` holds at most one view per thread and cannot grow
+  beyond the thread count.
+* **Sleep sets** — a fully explored thread sleeps for its later
+  siblings and wakes on the first conflicting step, so no Mazurkiewicz
+  trace is explored twice.
 
-Race detection (vector clocks at node entry), sleep-set inheritance
-with conflict wake, the visited-prune access-summary compensation and
-the cycle fallback are shared with :mod:`.dpor` — see its module
-docstring for those invariants.  What the reduction preserves is the
-same contract, enforced by the same parity tests and fuzz oracle:
-terminal outcome sets, control-observable violation verdicts,
-truncation flags; only ``configs`` may shrink.
+Unlike classical stateless DPOR this search is *stateful*: a
+configuration re-reached (by canonical key) with a sleep set that
+includes a recorded one is pruned (the same inclusion discipline as
+:mod:`.sleep`).  Pruning against a previously explored subtree can hide
+races between that subtree's steps and the *current* path, so every
+such hit is compensated with the subtree's recorded access summary:
+each spine node whose outgoing edge conflicts with it and is not
+happens-before the whole subtree is fully expanded.  A prune inside a
+cycle (the pruned subtree is still on the spine, its summary
+incomplete) falls back to expanding the whole spine.  Under the RA/SRA
+event semantics states embed their whole history, so inequivalent
+interleavings rarely collapse to one canonical key and the fallback
+stays rare; under SC it fires often and the reduction degrades toward
+the full search — sound, just not profitable there.
+
+What the reduction preserves (and tests/fuzzing enforce): terminal
+configurations and their outcome sets, violation verdicts of
+``check_config`` hooks over control observables (visibility makes
+pc-changing steps pairwise dependent), the truncation flags, and
+``configs`` can only shrink.  Memory-reading per-state hooks need the
+``"sleep"`` tier or no reduction (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -64,7 +78,6 @@ from typing import (
 from repro.engine.core import ExplorationResult, Violation, _key_of, _state_size
 from repro.engine.keys import KEY_CACHE
 from repro.engine.por.deps import StepFootprint, conflicts, pending_steps, step_footprint
-from repro.engine.por.dpor import _candidates
 
 Clock = Dict[int, int]  # tid -> highest path index happens-before
 
@@ -127,13 +140,35 @@ class _Node:
 
     def expand_fully(self) -> None:
         """Conservative fallback: schedule every enabled thread and wake
-        the sleepers (the whole-node analogue of ``backtrack :=
-        enabled; sleep := ∅`` in :mod:`.dpor`)."""
+        the sleepers (the whole-node ``backtrack := enabled;
+        sleep := ∅`` of classical DPOR)."""
         self.sleep.clear()
         heads = self.scheduled_heads()
         for t in self.enabled:
             if t not in heads:
                 self.pending.append((t,))
+
+
+def _candidates(
+    last_write: Dict[str, Tuple[int, int]],
+    last_reads: Dict[str, Dict[int, int]],
+    last_visible: Optional[Tuple[int, int]],
+    tid: int,
+    fp: StepFootprint,
+) -> Set[Tuple[int, int]]:
+    """Last conflicting accesses on the path, as ``(index, tid)`` pairs."""
+    out: Set[Tuple[int, int]] = set()
+    for var in fp.reads | fp.writes:
+        last = last_write.get(var)
+        if last is not None and last[1] != tid:
+            out.add(last)
+    for var in fp.writes:
+        for reader, idx in last_reads.get(var, {}).items():
+            if reader != tid:
+                out.add((idx, reader))
+    if fp.visible and last_visible is not None and last_visible[1] != tid:
+        out.add(last_visible)
+    return out
 
 
 def explore_optimal(
@@ -147,14 +182,14 @@ def explore_optimal(
     keep_representatives: bool = False,
     canonicalize: bool = True,
     strategy: str = "bfs",
-    equivalence: str = "shasha-snir",
 ) -> ExplorationResult:
     """Parsimonious view-guided DPOR from ``(P, σ_0)``.
 
-    The traversal is inherently depth-first; ``strategy`` is recorded
-    in the stats but does not choose a frontier.  ``configs`` counts
-    distinct configuration keys, so under ``equivalence="reads-from"``
-    it additionally shrinks by the dead-write quotient.
+    The traversal is inherently depth-first (race detection needs the
+    current path); ``strategy`` is recorded in the stats but does not
+    choose a frontier.  ``configs`` counts *distinct* configurations
+    visited, so it is directly comparable with — and never exceeds —
+    the unreduced count.
     """
     from repro.c11.compact import ORDER_TIMER
     from repro.interp.memory_model import MODEL_TIMER
@@ -166,11 +201,9 @@ def explore_optimal(
     result: ExplorationResult = ExplorationResult(initial)
     result._model = model
     result._canonicalize = canonicalize
-    result._equivalence = equivalence
     stats = result.stats
     stats.strategy = strategy
     stats.reduction = "optimal"
-    stats.equivalence = equivalence
     track_control = check_config is not None
 
     tr = tracer()
@@ -242,8 +275,12 @@ def explore_optimal(
         ancestor, that subtree realises an equivalent reversal (or
         re-detects the residual race deeper) and nothing is inserted —
         this is what bounds ``pending`` to one view per head.  When the
-        view's head is asleep, guidance is abandoned for a plain awake
-        initial exactly as ``"dpor"`` would insert one.
+        view's head is asleep, guidance is abandoned for a plain
+        initial, preferring an awake one.  Inserting only ``tid`` (the
+        Flanagan–Godefroid rule) would be incomplete under sleep sets:
+        ``tid`` may be sleeping at the ancestor, covered there only by
+        traces that cannot realise this reversal, while another initial
+        is wide awake.
         """
         target = stack[idx]
         raced_tid = edges[idx][0]
@@ -308,7 +345,9 @@ def explore_optimal(
                 result.truncated = True
         # Race analysis at node entry, for *every* pending step — picked
         # or not: a thread this branch never runs must still get its
-        # reversals scheduled at the ancestors (see .dpor).
+        # reversals scheduled at the ancestors.  Bound-blocked steps are
+        # analysed too; they are enabled at every ancestor (event counts
+        # only grow along a path).
         for tid in sorted(steps):
             fp = fps[tid]
             cand = _candidates(last_write, last_reads, last_visible, tid, fp)
@@ -326,7 +365,7 @@ def explore_optimal(
         # reversing view; a guide blocked by the bound falls back to
         # full expansion (every enabled thread), a guide blocked by
         # sleep is covered and degrades to the plain one-awake-thread
-        # seed of .dpor.  Fresh unguided nodes seed one awake thread.
+        # seed.  Fresh unguided nodes seed one awake thread.
         pending: List[View] = []
         if guide:
             head = guide[0]
@@ -347,7 +386,7 @@ def explore_optimal(
 
     try:
         t0 = clock()
-        init_key = _key_of(initial, model, canonicalize, equivalence)
+        init_key = _key_of(initial, model, canonicalize)
         stats.time_keys += clock() - t0
         result.parents[init_key] = (None, None)
 
@@ -463,7 +502,7 @@ def explore_optimal(
             )
             result.transitions += 1
             t0 = clock()
-            child_key = _key_of(step.target, model, canonicalize, equivalence)
+            child_key = _key_of(step.target, model, canonicalize)
             stats.time_keys += clock() - t0
             result.parents.setdefault(child_key, (node.key, step))
             child_sleep = {
@@ -479,14 +518,18 @@ def explore_optimal(
                     tr.prune(run, "visited", step.target.program)
                 # Pruning against an explored subtree can hide races
                 # between *its* steps and the current path.  Compensate
-                # with the subtree's recorded access summary, exactly
-                # as in .dpor (see there for the cycle fallback).
+                # with the subtree's recorded access summary.  A
+                # terminal child has no subtree, hence no hidden races.
                 node.sub_reads |= fp.reads
                 node.sub_writes |= fp.writes
                 node.sub_visible = node.sub_visible or fp.visible
                 summary = summaries.get(child_key)
                 if not step.target.is_terminated():
                     if on_stack.get(child_key) or summary is None or summary[3]:
+                        # A cycle (or a summary poisoned by one): the
+                        # pruned subtree is still being explored and its
+                        # summary is incomplete — expand the whole spine
+                        # and poison everything inside the cycle.
                         cut = max(
                             i for i, m in enumerate(stack) if m.key == child_key
                         ) if on_stack.get(child_key) else -1

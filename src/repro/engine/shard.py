@@ -72,7 +72,7 @@ from repro.engine.stats import EngineStats
 from repro.engine.visited import SpillableVisitedSet, encode_config_key, program_token
 
 #: Reductions the sharded search supports: the two whose traversals the
-#: superstep replay reproduces exactly.  The DPOR tiers are inherently
+#: superstep replay reproduces exactly.  The DPOR tier is inherently
 #: depth-first with global backtrack state — out of scope by design.
 SHARDABLE_REDUCTIONS = ("none", "sleep")
 
@@ -1192,7 +1192,6 @@ def explore_sharded(
     canonicalize: bool = True,
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     processes: Optional[bool] = None,
     spill_dir: Optional[str] = None,
     spill_max_entries: Optional[int] = None,
@@ -1206,9 +1205,8 @@ def explore_sharded(
     Accepts the single-process ``explore`` surface where the sharded
     search can honour its parity contract, and rejects the rest up
     front: breadth-first only (the superstep structure *is* BFS),
-    reductions ``"none"``/``"sleep"``, the exact Shasha–Snir
-    equivalence, and canonical keys (the digest partition function is
-    defined on them).
+    reductions ``"none"``/``"sleep"``, and canonical keys (the digest
+    partition function is defined on them).
 
     ``processes=None`` auto-selects: real worker processes when the
     current process may fork children, the in-process supersteps
@@ -1249,13 +1247,8 @@ def explore_sharded(
     if reduction not in SHARDABLE_REDUCTIONS:
         raise ValueError(
             f"reduction {reduction!r} is not shardable; choose from "
-            f"{SHARDABLE_REDUCTIONS} (the DPOR tiers are depth-first with "
+            f"{SHARDABLE_REDUCTIONS} (the DPOR tier is depth-first with "
             "global backtrack state)"
-        )
-    if equivalence != "shasha-snir":
-        raise ValueError(
-            "sharded exploration keys configurations exactly; "
-            f"equivalence={equivalence!r} is not shardable"
         )
     if not canonicalize:
         raise ValueError(
@@ -1286,7 +1279,7 @@ def explore_sharded(
         fingerprint = run_fingerprint(
             program, init_values, model,
             max_events=max_events, max_configs=max_configs,
-            strategy="bfs", reduction=reduction, equivalence=equivalence,
+            strategy="bfs", reduction=reduction,
             canonicalize=True, shards=shards,
         )
         if resume is not None:

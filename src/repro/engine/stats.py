@@ -21,11 +21,8 @@ class EngineStats:
 
     strategy: str = "bfs"
     #: Which partial-order reduction ran
-    #: ("none" | "sleep" | "dpor" | "optimal").
+    #: ("none" | "sleep" | "optimal").
     reduction: str = "none"
-    #: Which state equivalence keyed the visited store
-    #: ("shasha-snir" | "reads-from"); only "dpor"/"optimal" consult it.
-    equivalence: str = "shasha-snir"
     #: Largest number of configurations ever waiting in the frontier
     #: (for the DPOR depth-first traversal: the peak spine depth).
     peak_frontier: int = 0
@@ -64,7 +61,7 @@ class EngineStats:
     pruned: int = 0
     #: How often a sleeping thread was skipped (subset of ``pruned``).
     sleep_hits: int = 0
-    #: Races detected by DPOR (backtrack-point insertions attempted).
+    #: Races detected by DPOR (reversing-view insertions attempted).
     races: int = 0
     #: Arrivals at an already-expanded configuration: covered prunes
     #: plus re-expansions under an incomparable sleep set.
@@ -162,8 +159,6 @@ class EngineStats:
                 f"sleep-hits={self.sleep_hits} races={self.races} "
                 f"revisits={self.revisits}"
             )
-            if self.equivalence != "shasha-snir":
-                line += f" equivalence={self.equivalence}"
         if self.shards > 1:
             line += (
                 f" shards={self.shards} rounds={self.shard_rounds} "

@@ -36,11 +36,8 @@ class FuzzJob:
     shrink: bool = True
     strategy: str = "bfs"  # unused; parity with SuiteJob's interface
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS
-    #: reduction the POR-parity oracle checks ("none" disables it;
-    #: "optimal" also replays "dpor" — DESIGN.md §13)
-    reduction: str = "dpor"
-    #: state equivalence keying the reduced runs' visited stores
-    equivalence: str = "shasha-snir"
+    #: reduction the POR-parity oracle checks ("none" disables it)
+    reduction: str = "optimal"
     #: cross-check compact vs definitional derived orders per state
     #: (the "orders" oracle, DESIGN.md §11)
     check_orders: bool = False
@@ -88,9 +85,9 @@ class DivergenceRecord:
 def _check(job: FuzzJob, case: GeneratedCase) -> OracleReport:
     return check_program(
         case, axiomatic=job.axiomatic, max_configs=job.max_configs,
-        reduction=job.reduction, equivalence=job.equivalence,
-        check_orders=job.check_orders, check_lowering=job.check_lowering,
-        check_shards=job.check_shards, check_faults=job.check_faults,
+        reduction=job.reduction, check_orders=job.check_orders,
+        check_lowering=job.check_lowering, check_shards=job.check_shards,
+        check_faults=job.check_faults,
     )
 
 
@@ -264,8 +261,7 @@ def fuzz_jobs(
     axiomatic: bool = True,
     shrink: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
-    reduction: str = "dpor",
-    equivalence: str = "shasha-snir",
+    reduction: str = "optimal",
     check_orders: bool = False,
     check_lowering: bool = False,
     check_shards: bool = False,
@@ -294,7 +290,6 @@ def fuzz_jobs(
             shrink=shrink,
             max_configs=max_configs,
             reduction=reduction,
-            equivalence=equivalence,
             check_orders=check_orders,
             check_lowering=check_lowering,
             check_shards=check_shards,
@@ -312,8 +307,7 @@ def run_campaign(
     axiomatic: bool = True,
     shrink: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
-    reduction: str = "dpor",
-    equivalence: str = "shasha-snir",
+    reduction: str = "optimal",
     check_orders: bool = False,
     check_lowering: bool = False,
     check_shards: bool = False,
@@ -331,7 +325,7 @@ def run_campaign(
     work = fuzz_jobs(
         seed, iters, profile=profile, jobs=jobs, axiomatic=axiomatic,
         shrink=shrink, max_configs=max_configs, reduction=reduction,
-        equivalence=equivalence, check_orders=check_orders,
+        check_orders=check_orders,
         check_lowering=check_lowering, check_shards=check_shards,
         check_faults=check_faults,
     )

@@ -476,7 +476,7 @@ def parse_litmus(text: str) -> ParsedLitmus:
 
 
 def run_parsed_litmus(parsed: ParsedLitmus, model=None, max_events=None, strategy="bfs",
-                      reduction="none", equivalence="shasha-snir", shards=1,
+                      reduction="none", shards=1,
                       spill_dir=None, spill_max_entries=None, spill_max_bytes=None,
                       checkpoint=None, checkpoint_every=None, resume=None):
     """Convenience: decide the parsed test's outcome reachability.
@@ -494,8 +494,8 @@ def run_parsed_litmus(parsed: ParsedLitmus, model=None, max_events=None, strateg
     model = model if model is not None else RAMemoryModel()
     result = explore(
         parsed.program, parsed.init, model, max_events=max_events,
-        strategy=strategy, reduction=reduction, equivalence=equivalence,
-        shards=shards, spill_dir=spill_dir, spill_max_entries=spill_max_entries,
+        strategy=strategy, reduction=reduction, shards=shards,
+        spill_dir=spill_dir, spill_max_entries=spill_max_entries,
         spill_max_bytes=spill_max_bytes, checkpoint=checkpoint,
         checkpoint_every=checkpoint_every, resume=resume,
     )

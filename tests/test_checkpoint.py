@@ -268,8 +268,7 @@ def test_shard_resume_rejects_foreign_loop_state(tmp_path):
     fingerprint = run_fingerprint(
         program, PETERSON_INIT, RAMemoryModel(),
         max_events=BOUND, max_configs=None, strategy="bfs",
-        reduction="none", equivalence="shasha-snir",
-        canonicalize=True, shards=4,
+        reduction="none", canonicalize=True, shards=4,
     )
     path = str(tmp_path / "wrong-algo.ckpt")
     write_checkpoint(path, fingerprint, {"algo": "plain"})
@@ -281,7 +280,7 @@ def test_checkpoint_validates_its_surface():
     with pytest.raises(ValueError, match="checkpoint_every"):
         run_explore(checkpoint="x.ckpt", checkpoint_every=0)
     with pytest.raises(ValueError, match="checkpoint/resume"):
-        run_explore(checkpoint="x.ckpt", reduction="dpor")
+        run_explore(checkpoint="x.ckpt", reduction="optimal")
     with pytest.raises(ValueError, match="checkpoint/resume"):
         run_explore(checkpoint="x.ckpt", strategy="iddfs")
     with pytest.raises(ValueError, match="checkpoint/resume"):

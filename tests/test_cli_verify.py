@@ -166,13 +166,6 @@ def test_verify_sleep_reduction_same_verdict(capsys):
     assert "FAILED" not in reduced
 
 
-def test_verify_dpor_falls_back_with_note(capsys):
-    assert main(["verify", "message-passing", "--reduction", "dpor"]) == 0
-    out = capsys.readouterr().out
-    assert "falling back" in out
-    assert "OK" in out
-
-
 # ----------------------------------------------------------------------
 # --file / --outline: ad-hoc programs against spec outlines
 # ----------------------------------------------------------------------

@@ -98,7 +98,7 @@ def _outcomes(result):
     )
 
 
-@pytest.mark.parametrize("reduction", ["none", "sleep", "dpor"])
+@pytest.mark.parametrize("reduction", ["none", "sleep", "optimal"])
 @pytest.mark.parametrize("model_factory", [RAMemoryModel, SRAMemoryModel],
                          ids=["ra", "sra"])
 def test_exploration_parity_with_compact_disabled(

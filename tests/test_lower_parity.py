@@ -49,7 +49,7 @@ def outcome_set(result):
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
-@pytest.mark.parametrize("reduction", ["none", "sleep", "dpor"])
+@pytest.mark.parametrize("reduction", ["none", "sleep", "optimal"])
 def test_litmus_registry_lowering_parity(model_name, reduction):
     """Every registry test: lowered and legacy explorations must agree
     on the verdict, the truncation flag, the exact config/transition
@@ -73,7 +73,7 @@ def test_litmus_registry_lowering_parity(model_name, reduction):
 
 
 @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
-@pytest.mark.parametrize("reduction", ["none", "dpor"])
+@pytest.mark.parametrize("reduction", ["none", "optimal"])
 def test_case_study_lowering_parity(name, reduction):
     lowered = _case_study_exploration(name, "bfs", None, reduction=reduction)
     with lowering_disabled():

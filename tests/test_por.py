@@ -18,7 +18,6 @@ from repro.engine.por.deps import (
 from repro.interp.explore import explore
 from repro.interp.interpreter import (
     configuration_successors,
-    initial_configuration,
     thread_successors,
 )
 from repro.interp.config import Configuration
@@ -125,29 +124,17 @@ def test_footprint_tracks_control_only_when_asked():
 
 
 def test_reductions_tuple_and_validation():
-    from repro.engine.por import EQUIVALENCES
-
-    assert REDUCTIONS == ("none", "sleep", "dpor", "optimal")
-    assert EQUIVALENCES == ("shasha-snir", "reads-from")
-    with pytest.raises(ValueError, match="unknown reduction"):
-        explore(sb_program(), SB_INIT, SCMemoryModel(), reduction="ample")
-    with pytest.raises(ValueError, match="unknown equivalence"):
-        explore(
-            sb_program(), SB_INIT, SCMemoryModel(), reduction="dpor",
-            equivalence="sc-traces",
-        )
-    with pytest.raises(ValueError, match="equivalence"):
-        explore(
-            sb_program(), SB_INIT, SCMemoryModel(), reduction="sleep",
-            equivalence="reads-from",
-        )
+    assert REDUCTIONS == ("none", "sleep", "optimal")
+    for unknown in ("ample", "dpor"):
+        with pytest.raises(ValueError, match="unknown reduction"):
+            explore(sb_program(), SB_INIT, SCMemoryModel(), reduction=unknown)
 
 
 def test_check_step_hooks_reject_reduction():
     with pytest.raises(ValueError, match="check_step"):
         explore(
             sb_program(), SB_INIT, SCMemoryModel(),
-            check_step=lambda step: [], reduction="dpor",
+            check_step=lambda step: [], reduction="optimal",
         )
 
 
@@ -221,27 +208,27 @@ def test_sleep_is_hook_safe_for_memory_reading_properties():
 
 
 # ----------------------------------------------------------------------
-# DPOR: outcome-identical with fewer configurations
+# Optimal DPOR: outcome-identical with fewer configurations
 # ----------------------------------------------------------------------
 
 
-def test_dpor_outcome_parity_store_buffering():
+def test_optimal_outcome_parity_store_buffering():
     for model in (SCMemoryModel(), SRAMemoryModel(), RAMemoryModel()):
         full = explore(sb_program(), SB_INIT, model)
-        reduced = explore(sb_program(), SB_INIT, model, reduction="dpor")
+        reduced = explore(sb_program(), SB_INIT, model, reduction="optimal")
         assert outcome_set(reduced) == outcome_set(full)
         assert reduced.configs <= full.configs
         assert reduced.truncated == full.truncated
 
 
-def test_dpor_reduces_peterson_at_least_2x_at_bound_12():
+def test_optimal_reduces_peterson_at_least_2x_at_bound_12():
     full = explore(
         peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
         max_events=12,
     )
     reduced = explore(
         peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
-        max_events=12, reduction="dpor",
+        max_events=12, reduction="optimal",
     )
     assert outcome_set(reduced) == outcome_set(full)
     assert reduced.truncated == full.truncated
@@ -251,54 +238,19 @@ def test_dpor_reduces_peterson_at_least_2x_at_bound_12():
     assert 0.0 < reduced.stats.reduction_ratio < 1.0
 
 
-def test_dpor_independent_threads_explore_single_interleaving():
+def test_optimal_independent_threads_explore_single_interleaving():
     """Three threads writing disjoint variables: one trace suffices."""
     program = Program.parallel(assign("x", 1), assign("y", 1), assign("z", 1))
     init = {"x": 0, "y": 0, "z": 0}
     full = explore(program, init, SCMemoryModel())
-    reduced = explore(program, init, SCMemoryModel(), reduction="dpor")
+    reduced = explore(program, init, SCMemoryModel(), reduction="optimal")
     assert outcome_set(reduced) == outcome_set(full)
     # The reduced search walks one path plus its prefix states.
     assert reduced.configs == 4 < full.configs
     assert reduced.stats.races == 0
 
 
-def test_dpor_mutant_violation_found_and_replays_unreduced():
-    """A violation found with DPOR must replay as a valid unreduced
-    trace: every step of the counterexample is among the successors the
-    *unreduced* interpreter generates from its source."""
-    model = RAMemoryModel()
-    result = explore(
-        peterson_relaxed_turn(once=True), PETERSON_INIT, model,
-        max_events=10, check_config=mutual_exclusion_violations,
-        reduction="dpor",
-    )
-    assert not result.ok
-    trace = result.counterexample()
-    assert trace, "violation must come with a trace"
-    # The canonical entry point applies the same program lowering the
-    # engine applied, so trace programs and replay programs compare.
-    cursor = initial_configuration(
-        peterson_relaxed_turn(once=True), PETERSON_INIT, model
-    )
-    for step in trace:
-        candidates = list(configuration_successors(cursor, model))
-        matches = [
-            s for s in candidates
-            if s.tid == step.tid
-            and s.event == step.event
-            and s.read_value == step.read_value
-            and s.target.program == step.target.program
-            and model.canonical_state_key(s.target.state)
-            == model.canonical_state_key(step.target.state)
-        ]
-        assert matches, f"trace step {step} not reproducible unreduced"
-        cursor = matches[0].target
-    # The trace ends in the violating configuration.
-    assert mutual_exclusion_violations(cursor)
-
-
-def test_dpor_violation_verdicts_match_for_correct_peterson():
+def test_optimal_violation_verdicts_match_for_correct_peterson():
     full = explore(
         peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
         max_events=10, check_config=mutual_exclusion_violations,
@@ -306,34 +258,25 @@ def test_dpor_violation_verdicts_match_for_correct_peterson():
     reduced = explore(
         peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
         max_events=10, check_config=mutual_exclusion_violations,
-        reduction="dpor",
+        reduction="optimal",
     )
     assert full.ok and reduced.ok
     assert reduced.configs <= full.configs
 
 
-def test_dpor_stop_on_violation_stops():
+def test_optimal_stop_on_violation_stops():
     result = explore(
         peterson_relaxed_turn(once=True), PETERSON_INIT, RAMemoryModel(),
         max_events=10, check_config=mutual_exclusion_violations,
-        stop_on_violation=True, reduction="dpor",
+        stop_on_violation=True, reduction="optimal",
     )
     assert len(result.violations) == 1
 
 
-def test_dpor_max_configs_cap_sets_flags():
-    result = explore(
-        peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
-        max_events=10, max_configs=20, reduction="dpor",
-    )
-    assert result.capped and result.truncated
-    assert result.configs <= 21
-
-
-def test_dpor_keep_representatives_keys_every_visit():
+def test_optimal_keep_representatives_keys_every_visit():
     result = explore(
         sb_program(), SB_INIT, RAMemoryModel(),
-        keep_representatives=True, reduction="dpor",
+        keep_representatives=True, reduction="optimal",
     )
     assert len(result.representatives) == result.configs
 
@@ -344,7 +287,7 @@ def test_pe_model_reduces_to_per_thread_sequences():
     program = sb_program()
     model = PEMemoryModel.for_program(program, SB_INIT)
     full = explore(program, SB_INIT, model)
-    reduced = explore(program, SB_INIT, model, reduction="dpor")
+    reduced = explore(program, SB_INIT, model, reduction="optimal")
     # PE states are pre-executions, not C11 states: compare terminal
     # state sets by canonical key rather than by final values.
     keys = lambda r: {  # noqa: E731 — local shorthand
@@ -363,10 +306,10 @@ def test_pe_model_reduces_to_per_thread_sequences():
 def test_stats_summary_mentions_reduction():
     reduced = explore(
         peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
-        max_events=8, reduction="dpor",
+        max_events=8, reduction="optimal",
     )
     line = reduced.stats.summary()
-    assert "reduction=dpor" in line
+    assert "reduction=optimal" in line
     assert "races=" in line and "sleep-hits=" in line
     plain = explore(sb_program(), SB_INIT, SCMemoryModel()).stats.summary()
     assert "reduction=" not in plain
