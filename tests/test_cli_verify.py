@@ -166,6 +166,15 @@ def test_verify_sleep_reduction_same_verdict(capsys):
     assert "FAILED" not in reduced
 
 
+def test_verify_dpor_falls_back_with_note(capsys):
+    # Proof checks read every step, so the DPOR tier (``optimal``) is
+    # refused for them and verify reruns unreduced with a note.
+    assert main(["verify", "message-passing", "--reduction", "optimal"]) == 0
+    out = capsys.readouterr().out
+    assert "falling back" in out
+    assert "OK" in out
+
+
 # ----------------------------------------------------------------------
 # --file / --outline: ad-hoc programs against spec outlines
 # ----------------------------------------------------------------------

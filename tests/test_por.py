@@ -18,6 +18,7 @@ from repro.engine.por.deps import (
 from repro.interp.explore import explore
 from repro.interp.interpreter import (
     configuration_successors,
+    initial_configuration,
     thread_successors,
 )
 from repro.interp.config import Configuration
@@ -250,6 +251,42 @@ def test_optimal_independent_threads_explore_single_interleaving():
     assert reduced.stats.races == 0
 
 
+def test_dpor_mutant_violation_found_and_replays_unreduced():
+    """A violation found with DPOR (the ``optimal`` tier) must replay as
+    a valid unreduced trace: every step of the counterexample is among
+    the successors the *unreduced* interpreter generates from its
+    source."""
+    model = RAMemoryModel()
+    result = explore(
+        peterson_relaxed_turn(once=True), PETERSON_INIT, model,
+        max_events=10, check_config=mutual_exclusion_violations,
+        reduction="optimal",
+    )
+    assert not result.ok
+    trace = result.counterexample()
+    assert trace, "violation must come with a trace"
+    # The canonical entry point applies the same program lowering the
+    # engine applied, so trace programs and replay programs compare.
+    cursor = initial_configuration(
+        peterson_relaxed_turn(once=True), PETERSON_INIT, model
+    )
+    for step in trace:
+        candidates = list(configuration_successors(cursor, model))
+        matches = [
+            s for s in candidates
+            if s.tid == step.tid
+            and s.event == step.event
+            and s.read_value == step.read_value
+            and s.target.program == step.target.program
+            and model.canonical_state_key(s.target.state)
+            == model.canonical_state_key(step.target.state)
+        ]
+        assert matches, f"trace step {step} not reproducible unreduced"
+        cursor = matches[0].target
+    # The trace ends in the violating configuration.
+    assert mutual_exclusion_violations(cursor)
+
+
 def test_optimal_violation_verdicts_match_for_correct_peterson():
     full = explore(
         peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
@@ -271,6 +308,15 @@ def test_optimal_stop_on_violation_stops():
         stop_on_violation=True, reduction="optimal",
     )
     assert len(result.violations) == 1
+
+
+def test_dpor_max_configs_cap_sets_flags():
+    result = explore(
+        peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
+        max_events=10, max_configs=20, reduction="optimal",
+    )
+    assert result.capped and result.truncated
+    assert result.configs <= 21
 
 
 def test_optimal_keep_representatives_keys_every_visit():
