@@ -189,10 +189,11 @@ def _profile_lines(configs: int, stats) -> List[str]:
     ``expand`` is the phase the lowered-program IR (DESIGN.md §12)
     targets and ``orders`` the phase the compact representation
     (DESIGN.md §11) targets, so the split shows which layer a
-    performance change actually moved.  The states/sec figure is also
-    reported per million spin iterations (``repro.engine.calibrate``),
-    which is comparable across machines and against the committed
-    E12 baselines.
+    performance change actually moved; ``gc`` is the cyclic collector's
+    share (DESIGN.md §5), which overlaps the phases.  The states/sec
+    figure is also reported per million spin iterations
+    (``repro.engine.calibrate``), which is comparable across machines
+    and against the committed E12 baselines.
     """
     from repro.engine.calibrate import per_mspin, spin_score
 
@@ -207,6 +208,8 @@ def _profile_lines(configs: int, stats) -> List[str]:
             f"keys={stats.time_keys * 1e3:.1f}ms "
             f"orders={stats.time_orders * 1e3:.1f}ms "
             f"checks={stats.time_checks * 1e3:.1f}ms "
+            f"gc={stats.time_gc * 1e3:.1f}ms "
+            f"({stats.gc_collections} collections) "
             f"total={total * 1e3:.1f}ms"
         ),
         (
@@ -934,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--profile", action="store_true",
         help="print the engine phase split (expand / keys / orders / "
-        "checks) and spin-calibrated states/sec (DESIGN.md §12)",
+        "checks / gc) and spin-calibrated states/sec (DESIGN.md §12)",
     )
     run.add_argument(
         "--reduction", default="none",

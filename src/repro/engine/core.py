@@ -49,6 +49,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.engine.collector import GC_METER, frozen_survivors
 from repro.engine.frontier import frontier_class
 from repro.engine.keys import KEY_CACHE
 from repro.engine.stats import EngineStats
@@ -246,6 +247,13 @@ def explore(
     ``"sleep"`` reductions, and a ``"bfs"``/``"dfs"`` strategy
     (``iddfs`` restarts its frontier per round; the backtracking
     reductions keep per-key state the snapshot format does not cover).
+
+    Every search runs inside one
+    :func:`~repro.engine.collector.frozen_survivors` scope (DESIGN.md
+    §5): the survivors of each collection are frozen until the search
+    returns, so the collector stops rescanning the live search heap.
+    ``stats.gc_collections`` and ``stats.time_gc`` report what the
+    collector still cost.
     """
     from repro.engine.por import REDUCTIONS, explore_reduced
     from repro.interp.compiled import maybe_lower
@@ -285,128 +293,145 @@ def explore(
         raise ValueError("checkpoint_every must be >= 1")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if shards > 1:
-        from repro.engine.shard import explore_sharded
+    gc0 = GC_METER.snapshot()
+    with frozen_survivors():
+        if shards > 1:
+            from repro.engine.shard import explore_sharded
 
-        return explore_sharded(
-            program,
-            init_values,
-            model,
-            shards,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_config=check_config,
-            check_step=check_step,
-            stop_on_violation=stop_on_violation,
-            keep_representatives=keep_representatives,
-            canonicalize=canonicalize,
-            strategy=strategy,
-            reduction=reduction,
-            processes=shard_processes,
-            spill_dir=spill_dir,
-            spill_max_entries=spill_max_entries,
-            spill_max_bytes=spill_max_bytes,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-        )
-
-    # Compile once per run: every representation decision happens here,
-    # so the deepening loop, the reduced traversals and the plain search
-    # all see the same (possibly lowered) program.  A pass-through when
-    # the gate is off, the program is already lowered, or the compiler
-    # refuses (DESIGN.md §12).
-    program = maybe_lower(program)
-
-    if reduction not in REDUCTIONS:
-        raise ValueError(
-            f"unknown reduction {reduction!r}; choose from {REDUCTIONS}"
-        )
-    fingerprint = None
-    resume_payload = None
-    if checkpoint is not None or resume is not None:
-        from repro.engine.checkpoint import run_fingerprint, read_checkpoint
-
-        fingerprint = run_fingerprint(
-            program, init_values, model,
-            max_events=max_events, max_configs=max_configs,
-            strategy=strategy, reduction=reduction,
-            canonicalize=canonicalize, shards=1,
-        )
-        if resume is not None:
-            _, resume_payload = read_checkpoint(resume, expect=fingerprint)
-
-    if reduction != "none":
-        if check_step is not None and reduction != "sleep":
-            raise ValueError(
-                "check_step hooks quantify over transitions, and the "
-                f"{reduction!r} reduction prunes configurations outright; "
-                "use reduction='sleep' (configuration-identical) or 'none'"
+            result = explore_sharded(
+                program,
+                init_values,
+                model,
+                shards,
+                max_events=max_events,
+                max_configs=max_configs,
+                check_config=check_config,
+                check_step=check_step,
+                stop_on_violation=stop_on_violation,
+                keep_representatives=keep_representatives,
+                canonicalize=canonicalize,
+                strategy=strategy,
+                reduction=reduction,
+                processes=shard_processes,
+                spill_dir=spill_dir,
+                spill_max_entries=spill_max_entries,
+                spill_max_bytes=spill_max_bytes,
+                checkpoint=checkpoint,
+                checkpoint_every=checkpoint_every,
+                resume=resume,
             )
-        kwargs_step = {}
-        if check_step is not None:
-            kwargs_step["check_step"] = check_step
-        if spill_dir is not None and reduction == "sleep":
-            kwargs_step["spill_dir"] = spill_dir
-            kwargs_step["spill_max_entries"] = spill_max_entries
-            kwargs_step["spill_max_bytes"] = spill_max_bytes
-        if reduction == "sleep" and (
-            checkpoint is not None or resume_payload is not None
-        ):
-            kwargs_step["checkpoint"] = checkpoint
-            kwargs_step["checkpoint_every"] = checkpoint_every
-            kwargs_step["resume_payload"] = resume_payload
-            kwargs_step["fingerprint"] = fingerprint
-        return explore_reduced(
-            program,
-            init_values,
-            model,
-            reduction,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_config=check_config,
-            stop_on_violation=stop_on_violation,
-            keep_representatives=keep_representatives,
-            canonicalize=canonicalize,
-            strategy=strategy,
-            **kwargs_step,
-        )
-    if strategy == "iddfs" and max_events is not None and max_events >= 1:
-        return _explore_deepening(
-            program,
-            init_values,
-            model,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_config=check_config,
-            check_step=check_step,
-            stop_on_violation=stop_on_violation,
-            keep_representatives=keep_representatives,
-            canonicalize=canonicalize,
-            spill_dir=spill_dir,
-            spill_max_entries=spill_max_entries,
-            spill_max_bytes=spill_max_bytes,
-        )
-    return _explore_once(
-        program,
-        init_values,
-        model,
-        max_events=max_events,
-        max_configs=max_configs,
-        check_config=check_config,
-        check_step=check_step,
-        stop_on_violation=stop_on_violation,
-        keep_representatives=keep_representatives,
-        canonicalize=canonicalize,
-        strategy=strategy,
-        spill_dir=spill_dir,
-        spill_max_entries=spill_max_entries,
-        spill_max_bytes=spill_max_bytes,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        resume_payload=resume_payload,
-        fingerprint=fingerprint,
-    )
+        else:
+            # Compile once per run: every representation decision happens
+            # here, so the deepening loop, the reduced traversals and the
+            # plain search all see the same (possibly lowered) program.  A
+            # pass-through when the gate is off, the program is already
+            # lowered, or the compiler refuses (DESIGN.md §12).
+            program = maybe_lower(program)
+
+            if reduction not in REDUCTIONS:
+                raise ValueError(
+                    f"unknown reduction {reduction!r}; "
+                    f"choose from {REDUCTIONS}"
+                )
+            fingerprint = None
+            resume_payload = None
+            if checkpoint is not None or resume is not None:
+                from repro.engine.checkpoint import (
+                    read_checkpoint,
+                    run_fingerprint,
+                )
+
+                fingerprint = run_fingerprint(
+                    program, init_values, model,
+                    max_events=max_events, max_configs=max_configs,
+                    strategy=strategy, reduction=reduction,
+                    canonicalize=canonicalize, shards=1,
+                )
+                if resume is not None:
+                    _, resume_payload = read_checkpoint(
+                        resume, expect=fingerprint
+                    )
+
+            if reduction != "none":
+                if check_step is not None and reduction != "sleep":
+                    raise ValueError(
+                        "check_step hooks quantify over transitions, and the "
+                        f"{reduction!r} reduction prunes configurations "
+                        "outright; use reduction='sleep' "
+                        "(configuration-identical) or 'none'"
+                    )
+                kwargs_step = {}
+                if check_step is not None:
+                    kwargs_step["check_step"] = check_step
+                if spill_dir is not None and reduction == "sleep":
+                    kwargs_step["spill_dir"] = spill_dir
+                    kwargs_step["spill_max_entries"] = spill_max_entries
+                    kwargs_step["spill_max_bytes"] = spill_max_bytes
+                if reduction == "sleep" and (
+                    checkpoint is not None or resume_payload is not None
+                ):
+                    kwargs_step["checkpoint"] = checkpoint
+                    kwargs_step["checkpoint_every"] = checkpoint_every
+                    kwargs_step["resume_payload"] = resume_payload
+                    kwargs_step["fingerprint"] = fingerprint
+                result = explore_reduced(
+                    program,
+                    init_values,
+                    model,
+                    reduction,
+                    max_events=max_events,
+                    max_configs=max_configs,
+                    check_config=check_config,
+                    stop_on_violation=stop_on_violation,
+                    keep_representatives=keep_representatives,
+                    canonicalize=canonicalize,
+                    strategy=strategy,
+                    **kwargs_step,
+                )
+            elif (
+                strategy == "iddfs" and max_events is not None
+                and max_events >= 1
+            ):
+                result = _explore_deepening(
+                    program,
+                    init_values,
+                    model,
+                    max_events=max_events,
+                    max_configs=max_configs,
+                    check_config=check_config,
+                    check_step=check_step,
+                    stop_on_violation=stop_on_violation,
+                    keep_representatives=keep_representatives,
+                    canonicalize=canonicalize,
+                    spill_dir=spill_dir,
+                    spill_max_entries=spill_max_entries,
+                    spill_max_bytes=spill_max_bytes,
+                )
+            else:
+                result = _explore_once(
+                    program,
+                    init_values,
+                    model,
+                    max_events=max_events,
+                    max_configs=max_configs,
+                    check_config=check_config,
+                    check_step=check_step,
+                    stop_on_violation=stop_on_violation,
+                    keep_representatives=keep_representatives,
+                    canonicalize=canonicalize,
+                    strategy=strategy,
+                    spill_dir=spill_dir,
+                    spill_max_entries=spill_max_entries,
+                    spill_max_bytes=spill_max_bytes,
+                    checkpoint=checkpoint,
+                    checkpoint_every=checkpoint_every,
+                    resume_payload=resume_payload,
+                    fingerprint=fingerprint,
+                )
+    collections, seconds = GC_METER.snapshot()
+    result.stats.gc_collections += collections - gc0[0]
+    result.stats.time_gc += seconds - gc0[1]
+    return result
 
 
 def _explore_deepening(

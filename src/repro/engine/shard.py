@@ -824,6 +824,7 @@ def _shard_worker(
     import signal
 
     from repro.c11.compact import ORDER_TIMER
+    from repro.engine.collector import GC_METER, frozen_survivors
     from repro.faults import FaultPlan
     from repro.interp.config import Configuration
     from repro.interp.memory_model import MODEL_TIMER
@@ -839,6 +840,7 @@ def _shard_worker(
     hits0, misses0, _ = KEY_CACHE.snapshot()
     orders0 = ORDER_TIMER.snapshot()
     model0 = MODEL_TIMER.snapshot()
+    gc0 = GC_METER.snapshot()
     initial = Configuration(spec.program, spec.model.initial(spec.init_values))
     init_key = _key_of(initial, spec.model)
     rounds = 0
@@ -847,72 +849,78 @@ def _shard_worker(
         rounds = core.level  # snapshots are taken at superstep barriers
     elif _dest_for(key_digest_for(init_key), spec.shards) == index:
         core.seed(initial, init_key)
-    try:
-        while True:
-            if plan is not None and plan.kill_worker_now(index, rounds):
-                os._exit(1)  # simulated hard death: no cleanup, no report
-            outgoing = core.expand_level()
-            sent = 0
-            for dest in range(spec.shards):
-                if dest == index:
-                    continue
-                batch = [_pack_message(m, table) for m in outgoing[dest]]
-                sent += len(batch)
-                if plan is not None:
-                    plan.delay_send(index)
-                # Pickle here, in the worker's main thread: Queue.put
-                # defers pickling to a feeder thread, where an
-                # unpicklable payload (a program that lowered to
-                # closures and missed the (pcs, state) fast path) would
-                # kill the feeder silently and deadlock the round.
-                # Raising here lands in the crash report instead.
-                inboxes[dest].put(("batch", rounds, index, pickle.dumps(batch)))
-            inbox = list(outgoing[index])
-            recv = 0
-            for _ in range(spec.shards - 1):
-                tag, r, _sender, blob = inboxes[index].get()
-                assert tag == "batch" and r == rounds, (tag, r, rounds)
-                batch = pickle.loads(blob)
-                recv += len(batch)
-                inbox.extend(_unpack_message(m, table) for m in batch)
-            core.stats.shard_sent += sent
-            core.stats.shard_recv += recv
-            core.integrate(inbox)
-            if tr is not None and spec.run_id is not None:
-                tr.emit(
-                    "shard", run=spec.run_id, shard=index, round=rounds,
-                    sent=sent, recv=recv, frontier=len(core.frontier),
-                )
-            rounds += 1
-            core.stats.shard_rounds = rounds
-            coord_queue.put((
-                "round", index, rounds - 1, len(core.frontier), sent, recv,
-                bool(core.violations), core.configs,
-            ))
-            command = ctrl_queue.get()
-            if command[0] == "stop":
-                break
-            if len(command) > 1 and command[1]:
-                # checkpoint request: snapshot the barrier state, pickled
-                # in the main thread like every other payload
-                coord_queue.put(("ckpt", index, pickle.dumps(core.snapshot())))
-        hits1, misses1, _ = KEY_CACHE.snapshot()
-        core.stats.key_hits = hits1 - hits0
-        core.stats.key_misses = misses1 - misses0
-        core.stats.time_orders = ORDER_TIMER.snapshot() - orders0
-        core.stats.time_model = MODEL_TIMER.snapshot() - model0
-        # pickled in the main thread for the same reason as batches
-        coord_queue.put(
-            ("result", index, pickle.dumps(_pack_payload(core.finish(), table)))
-        )
-    except BaseException:  # noqa: BLE001 — report, then let it propagate
-        import traceback
+    # entered here, not inherited: under spawn or forkserver the worker
+    # starts with no open scope (under fork this one nests)
+    with frozen_survivors():
+        try:
+            while True:
+                if plan is not None and plan.kill_worker_now(index, rounds):
+                    os._exit(1)  # simulated hard death: no cleanup, no report
+                outgoing = core.expand_level()
+                sent = 0
+                for dest in range(spec.shards):
+                    if dest == index:
+                        continue
+                    batch = [_pack_message(m, table) for m in outgoing[dest]]
+                    sent += len(batch)
+                    if plan is not None:
+                        plan.delay_send(index)
+                    # Pickle here, in the worker's main thread: Queue.put
+                    # defers pickling to a feeder thread, where an
+                    # unpicklable payload (a program that lowered to
+                    # closures and missed the (pcs, state) fast path) would
+                    # kill the feeder silently and deadlock the round.
+                    # Raising here lands in the crash report instead.
+                    inboxes[dest].put(("batch", rounds, index, pickle.dumps(batch)))
+                inbox = list(outgoing[index])
+                recv = 0
+                for _ in range(spec.shards - 1):
+                    tag, r, _sender, blob = inboxes[index].get()
+                    assert tag == "batch" and r == rounds, (tag, r, rounds)
+                    batch = pickle.loads(blob)
+                    recv += len(batch)
+                    inbox.extend(_unpack_message(m, table) for m in batch)
+                core.stats.shard_sent += sent
+                core.stats.shard_recv += recv
+                core.integrate(inbox)
+                if tr is not None and spec.run_id is not None:
+                    tr.emit(
+                        "shard", run=spec.run_id, shard=index, round=rounds,
+                        sent=sent, recv=recv, frontier=len(core.frontier),
+                    )
+                rounds += 1
+                core.stats.shard_rounds = rounds
+                coord_queue.put((
+                    "round", index, rounds - 1, len(core.frontier), sent, recv,
+                    bool(core.violations), core.configs,
+                ))
+                command = ctrl_queue.get()
+                if command[0] == "stop":
+                    break
+                if len(command) > 1 and command[1]:
+                    # checkpoint request: snapshot the barrier state, pickled
+                    # in the main thread like every other payload
+                    coord_queue.put(("ckpt", index, pickle.dumps(core.snapshot())))
+            hits1, misses1, _ = KEY_CACHE.snapshot()
+            core.stats.key_hits = hits1 - hits0
+            core.stats.key_misses = misses1 - misses0
+            core.stats.time_orders = ORDER_TIMER.snapshot() - orders0
+            core.stats.time_model = MODEL_TIMER.snapshot() - model0
+            collections, seconds = GC_METER.snapshot()
+            core.stats.gc_collections = collections - gc0[0]
+            core.stats.time_gc = seconds - gc0[1]
+            # pickled in the main thread for the same reason as batches
+            coord_queue.put(
+                ("result", index, pickle.dumps(_pack_payload(core.finish(), table)))
+            )
+        except BaseException:  # noqa: BLE001 — report, then let it propagate
+            import traceback
 
-        coord_queue.put(("crash", index, traceback.format_exc()))
-        raise
-    finally:
-        if core.visited is not None:
-            core.visited.close()
+            coord_queue.put(("crash", index, traceback.format_exc()))
+            raise
+        finally:
+            if core.visited is not None:
+                core.visited.close()
 
 
 def _explore_sharded_processes(

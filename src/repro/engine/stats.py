@@ -51,6 +51,13 @@ class EngineStats:
     #: stepping cost the lowering IR (DESIGN.md §12) targets.  The
     #: legacy walker answers through generators and leaves this zero.
     time_model: float = 0.0
+    #: Cyclic-collector passes during this run and the wall time they
+    #: took — deltas of :data:`repro.engine.collector.GC_METER`, summed
+    #: over shard workers.  Collections land wherever the allocation
+    #: that triggered them happened, so ``time_gc`` overlaps the phases.
+    #: Both vary from run to run.
+    gc_collections: int = 0
+    time_gc: float = 0.0
     #: Number of deepening rounds (1 unless the strategy is ``iddfs``).
     iterations: int = 1
     #: Thread-expansions performed / skipped by the reduction.  One
@@ -119,6 +126,8 @@ class EngineStats:
         self.time_checks += other.time_checks
         self.time_orders += other.time_orders
         self.time_model += other.time_model
+        self.gc_collections += other.gc_collections
+        self.time_gc += other.time_gc
         self.expanded += other.expanded
         self.pruned += other.pruned
         self.sleep_hits += other.sleep_hits
@@ -149,7 +158,8 @@ class EngineStats:
             f"model={self.time_model * 1e3:.1f} "
             f"keys={self.time_keys * 1e3:.1f} "
             f"checks={self.time_checks * 1e3:.1f} "
-            f"orders={self.time_orders * 1e3:.1f})"
+            f"orders={self.time_orders * 1e3:.1f}) "
+            f"gc={self.gc_collections}/{self.time_gc * 1e3:.1f}ms"
         )
         if self.reduction != "none":
             line += (
