@@ -634,7 +634,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 obligations=_RUN_SUMMARY.get("obligations", 0)
                 + report.obligations_discharged,
                 failed_obligations=_RUN_SUMMARY.get("failed_obligations", 0)
-                + len(report.failures),
+                + report.failed_obligations,
             )
     return 1 if failed else 0
 
@@ -725,6 +725,11 @@ def _verify_file(args: argparse.Namespace, reduction: str) -> int:
     _print_outline_report(
         f"{parsed.name} [{model_name}] — outline from {args.outline}",
         outline, report,
+    )
+    _note_stats(
+        configs=report.configs,
+        obligations=report.obligations_discharged,
+        failed_obligations=report.failed_obligations,
     )
     return 0 if report.proved else 1
 

@@ -440,9 +440,7 @@ def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
         races=stats.races,
         revisits=stats.revisits,
         obligations=report.obligations_discharged,
-        failed_obligations=sum(
-            bad for _, bad in report.per_invariant.values()
-        ),
+        failed_obligations=report.failed_obligations,
         detail="; ".join(str(f) for f in report.failures[:3]),
         time_orders=stats.time_orders,
         time_expand=stats.time_expand,

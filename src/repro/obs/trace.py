@@ -55,7 +55,7 @@ files against:
 ``job_end``    ``job``, ``kind``, ``dur``, ``configs``, ``verdict``
 ``case``       fuzz case: ``seed``, ``index``, divergence ``kind``
 ``outline``    proof discharge: ``name``, ``model``, ``obligations``,
-               ``failed``
+               ``failed`` (obligations, not only the kept failures)
 ``ckpt``       checkpoint activity (DESIGN.md §16): ``run``, ``path``,
                ``configs`` at the snapshot, ``action`` (``write``)
 ``fault``      fault-tolerance event: ``run``, ``kind``

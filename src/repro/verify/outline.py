@@ -17,6 +17,18 @@ transition (Appendix D).  A :class:`ProofOutline` packages that shape:
      over an exhaustively explored space the two coincide, but failures
      report the offending transition, which is what one debugs with).
 
+Both obligations are predicates over a configuration ``(P, σ)``, so
+:meth:`ProofOutline.check` evaluates the outline once per *distinct*
+configuration: each configuration's per-invariant result vector is
+memoized under the explorer's own canonical key
+(:func:`repro.engine.core._key_of`) and every later source or target
+test of it is a lookup.  Obligations are still counted per transition —
+transitions are tallied per target vector and folded into the report
+after the search.  The contract that makes this sound is the one the
+explorer already relies on when it expands one representative per key:
+an assertion must be a function of the canonical configuration
+(DESIGN.md §10, "Obligation discharge").
+
 This is the semantic counterpart of the syntactic
 :class:`~repro.verify.calculus.AssertionContext`; use the outline to
 state *what* holds where, and the calculus to replay *why*.
@@ -38,7 +50,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.stats import EngineStats
 from repro.interp.config import Configuration
-from repro.interp.explore import explore
+from repro.interp.explore import ConfigKey, _key_of, explore
 from repro.interp.interpreter import InterpretedStep
 from repro.interp.memory_model import MemoryModel
 from repro.interp.ra_model import RAMemoryModel
@@ -98,17 +110,18 @@ class OutlineReport:
         return not self.failures
 
     def row(self) -> str:
-        verdict = "OK" if self.proved else f"{len(self.failures)} FAILED"
+        verdict = "OK" if self.proved else f"{self.failed_obligations} FAILED"
         bound = " (bounded)" if self.truncated else ""
         return (
             f"configs={self.configs} transitions={self.transitions} "
             f"obligations={self.obligations_discharged} {verdict}{bound}"
         )
 
-    def _count(self, name: str, failed: bool) -> None:
-        ok, bad = self.per_invariant.get(name, (0, 0))
-        self.per_invariant[name] = (ok + (not failed), bad + failed)
-        self.obligations_discharged += 1
+    @property
+    def failed_obligations(self) -> int:
+        """Every failed obligation; ``failures`` keeps only the first
+        ``keep_failures`` of them."""
+        return sum(bad for _, bad in self.per_invariant.values())
 
 
 class ProofOutline:
@@ -178,26 +191,53 @@ class ProofOutline:
             )
         model = model if model is not None else RAMemoryModel()
         report = OutlineReport(strategy=strategy, reduction=reduction)
+        invariants = tuple(self._invariants)
+        names = [inv.name for inv in invariants]
 
+        # Each distinct configuration's per-invariant results, evaluated
+        # once and keyed like the explorer's visited set.  The vectors
+        # are interned: nearly all of them are all-true.
+        interned: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
+        holds_all = (True,) * len(invariants)
+        interned[holds_all] = holds_all
+        vectors: Dict[ConfigKey, Tuple[bool, ...]] = {}
+        # obligation sets per outcome vector, folded after the search:
+        # the initial configuration's, then one per checked transition
+        landed: Dict[Tuple[bool, ...], int] = {}
+
+        def evaluate(config: Configuration) -> Tuple[bool, ...]:
+            vector = tuple([inv.holds(config) for inv in invariants])
+            return interned.setdefault(vector, vector)
+
+        def vector_of(config: Configuration) -> Tuple[bool, ...]:
+            key = _key_of(config, model)
+            vector = vectors.get(key)
+            if vector is None:
+                vector = vectors[key] = evaluate(config)
+            return vector
+
+        # Not memoized: the search may run a lowered copy of the
+        # program, whose configurations key differently.
         initial = Configuration(program, model.initial(init_values))
-        for inv in self._invariants:
-            failed = not inv.holds(initial)
-            report._count(inv.name, failed)
-            if failed:
+        vector = evaluate(initial)
+        landed[vector] = 1
+        for inv, ok in zip(invariants, vector):
+            if not ok:
                 report.failures.append(
                     ObligationFailure("initialisation", inv.name)
                 )
 
         def on_step(step: InterpretedStep) -> List[str]:
-            if not self.holds(step.source):
+            if vector_of(step.source) is not holds_all:
                 return []  # vacuous: source outside the outline
-            for inv in self._invariants:
-                failed = not inv.holds(step.target)
-                report._count(inv.name, failed)
-                if failed and len(report.failures) < keep_failures:
-                    report.failures.append(
-                        ObligationFailure("preservation", inv.name, step)
-                    )
+            vector = vector_of(step.target)
+            landed[vector] = landed.get(vector, 0) + 1
+            if vector is not holds_all:
+                for inv, ok in zip(invariants, vector):
+                    if not ok and len(report.failures) < keep_failures:
+                        report.failures.append(
+                            ObligationFailure("preservation", inv.name, step)
+                        )
             return []
 
         result = explore(
@@ -214,6 +254,13 @@ class ProofOutline:
         report.transitions = result.transitions
         report.truncated = result.truncated
         report.stats = result.stats
+        for vector, n in landed.items():
+            for name, ok in zip(names, vector):
+                good, bad = report.per_invariant.get(name, (0, 0))
+                report.per_invariant[name] = (
+                    (good + n, bad) if ok else (good, bad + n)
+                )
+            report.obligations_discharged += n * len(vector)
 
         from repro.obs.trace import tracer
 
@@ -225,7 +272,7 @@ class ProofOutline:
                 + ("..." if len(self._invariants) > 4 else ""),
                 model=getattr(model, "name", type(model).__name__),
                 obligations=report.obligations_discharged,
-                failed=len(report.failures),
+                failed=report.failed_obligations,
             )
         return report
 
