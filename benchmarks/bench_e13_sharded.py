@@ -1,22 +1,7 @@
-"""E13 — sharded single-run exploration: speedup series and spill run.
+"""E13 — spill identity and checkpoint overhead.
 
-DESIGN.md §15's two claims made continuous:
-
-**Shard speedup** — Peterson (``once``) at bound 14 explored at 1/2/4
-shards in process mode, under a per-configuration check hook that
-sleeps a *spin-calibrated* stall (``STALL_MSPIN`` million iterations of
-the :func:`~repro.engine.calibrate.spin_score` loop, converted to wall
-time on this machine).  The stall models a realistically expensive
-per-state check (an SMT query, a disk lookup): it is wall time the
-worker *processes* overlap, so the wall-clock speedup measures the
-sharding protocol's scaling — routing, batching, round barriers — and
-not the host's core count; calibrating the stall by ``spin_score``
-keeps the ratio comparable across machines, because the protocol's CPU
-overhead and the stall shrink together on a faster host.  Every run of
-the series must report byte-identical outcome sets and identical
-config/transition counts — sharding partitions the search, never
-changes it — and the gate in ``benchmarks/check_regression.py`` holds
-the 4-shard speedup above the committed floor.
+The file keeps its historical name: it also measured the sharded
+search's speedup until that search was removed (DESIGN.md §15).
 
 **Spill identity** — the 4-thread token ring at bound 14 estimates
 ~700 MB of in-memory visited-set footprint, over the default 512 MB
@@ -24,14 +9,14 @@ budget; run under ``--spill`` it must overflow to disk exactly once
 and still report byte-identical results (configs, transitions,
 violations) to the unbudgeted in-memory run.
 
-**Checkpoint overhead** — the same stalled Peterson workload explored
-with and without periodic checkpointing (DESIGN.md §16).  Snapshot
-cost is paid per cadence interval, so it amortises exactly when
-per-state work dominates — the long-run regime checkpointing exists
-for, and the same regime the stall models.  The checkpointed run must
-stay within 5% of the plain one (gated hard in
-``benchmarks/check_regression.py``) while actually writing snapshots,
-and must report byte-identical results.
+**Checkpoint overhead** — stalled Peterson explored with and without
+periodic checkpointing (DESIGN.md §16).  A per-configuration check hook
+sleeps a *spin-calibrated* stall, modelling an expensive per-state
+check.  Snapshot cost is paid per cadence interval, so it amortises
+exactly when per-state work dominates — the long-run regime
+checkpointing exists for.  The checkpointed run must stay within 5% of
+the plain one (gated hard in ``benchmarks/check_regression.py``) while
+actually writing snapshots, and must report byte-identical results.
 
 Records land in ``--bench-json`` as ``BENCH_e13_sharded.json``.
 """
@@ -50,16 +35,9 @@ from repro.interp.explore import explore
 from repro.interp.ra_model import RAMemoryModel
 from repro.litmus.registry import final_values
 
-#: Peterson exploration bound for the speedup series (≥14 per the E13
-#: acceptance row; 934 configs under RA).
+#: Peterson exploration bound for the checkpoint pair (934 configs
+#: under RA).
 BOUND = 14
-
-SHARD_SERIES = (1, 2, 4)
-
-#: Per-configuration check cost, in millions of spin-loop iterations'
-#: worth of wall time (~16 ms on the machine the baseline was recorded
-#: on).
-STALL_MSPIN = 0.3
 
 #: The default in-memory visited budget the spill run must exceed.
 SPILL_BUDGET = 512 * 1024 * 1024
@@ -70,8 +48,7 @@ SPILL_BUDGET = 512 * 1024 * 1024
 RING_THREADS = 4
 RING_BOUND = 14
 
-#: Set per session from ``spin_score`` before the series runs; module
-#: level so the hook stays picklable for the worker processes.
+#: Set per session from ``spin_score`` before the pair runs.
 _STALL = 0.0
 
 
@@ -85,61 +62,6 @@ def _outcome_set(result):
     return sorted(
         {tuple(sorted(final_values(c).items())) for c in result.terminal}
     )
-
-
-def test_shard_speedup_series(benchmark, bench_json):
-    global _STALL
-    score = spin_score()
-    _STALL = STALL_MSPIN * 1e6 / score
-    program = peterson_program(once=True)
-
-    def run_series():
-        rows = []
-        reference = None
-        for shards in SHARD_SERIES:
-            t0 = time.perf_counter()
-            result = explore(
-                program, PETERSON_INIT, RAMemoryModel(),
-                max_events=BOUND, shards=shards,
-                shard_processes=shards > 1,
-                check_config=_stalling_check,
-            )
-            wall = time.perf_counter() - t0
-            observed = (
-                result.configs, result.transitions, _outcome_set(result),
-            )
-            if reference is None:
-                reference = observed
-            # the parity contract: byte-identical outcome sets and
-            # identical counts at every shard width
-            assert observed == reference, f"shards={shards} diverged"
-            rows.append({
-                "shards": shards,
-                "wall_s": wall,
-                "configs": result.configs,
-                "transitions": result.transitions,
-                "speedup": rows[0]["wall_s"] / wall if rows else 1.0,
-            })
-        return rows
-
-    rows = once(benchmark, run_series)
-    table(
-        f"E13: Peterson bound {BOUND}, stalled check, process-mode shards",
-        [
-            f"shards={r['shards']}: {r['wall_s']:6.2f}s "
-            f"speedup={r['speedup']:.2f}x configs={r['configs']}"
-            for r in rows
-        ],
-    )
-    benchmark.extra_info["speedup_4"] = rows[-1]["speedup"]
-    bench_json.record("e13_sharded", {
-        "bound": BOUND,
-        "stall_mspin": STALL_MSPIN,
-        "spin_score": score,
-        "stall_s": _STALL,
-        "outcomes_identical": True,
-        "series": rows,
-    })
 
 
 def test_spill_identity_under_budget(benchmark, bench_json, tmp_path):

@@ -7,8 +7,8 @@ Usage::
 
 Compares the records two ``repro-bench/1`` documents share (the
 committed ``BENCH_*.json`` baseline vs a fresh CI run) and exits 1 on a
-regression beyond ``--tolerance`` (default 25%).  Two record families
-are gated:
+regression beyond ``--tolerance`` (default 25%).  These record
+families are gated:
 
 **``e12_hotpath``** — calibrated throughput.  Raw states/sec would
 measure the runner, not the engine: CI machines differ from the machine
@@ -36,19 +36,11 @@ below the committed baseline beyond tolerance.  A change that quietly
 weakens the parsimonious explorer (DESIGN.md §13) therefore fails CI
 even while outcome parity still holds.
 
-**``e13_sharded``** — sharded-exploration scaling.  The stall-injected
-shard series (see ``bench_e13_sharded.py``) records per-shard-count
-wall-clock ``speedup`` columns that are already machine-comparable (the
-per-state stall is spin-calibrated, so protocol overhead and stall
-scale together across hosts).  The 4-shard speedup is gated two ways:
-it must stay at or above the hard ``SPEEDUP_FLOOR`` (the E13
-acceptance bar, no tolerance), and it must not fall below the
-committed baseline's beyond tolerance.  The accompanying ``e13_spill``
-record must continue to report ``identical: true`` with at least one
-spill — a spill run that stopped overflowing (or stopped agreeing with
-the in-memory run) fails the gate outright.
+**``e13_spill``** — the spilled visited set.  The record must continue
+to report ``identical: true`` with at least one spill and the
+committed configuration count — a spill run that stopped overflowing
+(or stopped agreeing with the in-memory run) fails the gate outright.
 
-A record family present in only one of the two documents is skipped;
 **``e13_checkpoint``** — checkpoint overhead.  The stalled Peterson
 workload explored with snapshots on and off in the same session
 records ``overhead_ratio`` (on/off wall clock, machine-independent by
@@ -58,7 +50,8 @@ more than 5% in the per-state-work-dominated regime it exists for —
 and requires that at least one snapshot actually landed and that the
 run asserted byte-identical results.
 
-The gate fails if the documents share no gated record at all.
+A record family present in only one of the two documents is skipped;
+the gate fails if the documents share no gated record at all.
 """
 
 from __future__ import annotations
@@ -173,49 +166,6 @@ def check_reduction_series(base_record, cur_record, tolerance, failures) -> None
         )
 
 
-#: The E13 acceptance bar: wall-clock speedup at 4 shards on the
-#: stalled Peterson series.  A hard floor, not tolerance-scaled.
-SPEEDUP_FLOOR = 1.8
-
-
-def check_sharded(base_record, cur_record, tolerance, failures) -> None:
-    """Gate the E13 shard-speedup series and the spill-identity flags."""
-    base_by_shards = {s["shards"]: s for s in base_record.get("series", [])}
-    cur_by_shards = {s["shards"]: s for s in cur_record.get("series", [])}
-    print(f"{'shards':<8} {'baseline':>9} {'current':>9}  (wall-clock speedup)")
-    for shards, base in sorted(base_by_shards.items()):
-        cur = cur_by_shards.get(shards)
-        if cur is None:
-            failures.append(
-                f"shard series: {shards} shards missing from current run"
-            )
-            continue
-        flag = ""
-        if cur["speedup"] < base["speedup"] * (1.0 - tolerance):
-            failures.append(
-                f"shard series: {shards}-shard speedup fell to "
-                f"{cur['speedup']:.2f}x (baseline {base['speedup']:.2f}x, "
-                f"tolerance {tolerance:.0%})"
-            )
-            flag = "  ** REGRESSION **"
-        print(
-            f"{shards:<8} {base['speedup']:>8.2f}x {cur['speedup']:>8.2f}x"
-            f"{flag}"
-        )
-    top = max(cur_by_shards) if cur_by_shards else None
-    if top is None or cur_by_shards[top]["speedup"] < SPEEDUP_FLOOR:
-        got = cur_by_shards[top]["speedup"] if top is not None else 0.0
-        failures.append(
-            f"shard series: {top}-shard speedup {got:.2f}x is below the "
-            f"hard E13 floor of {SPEEDUP_FLOOR:.1f}x"
-        )
-    if not cur_record.get("outcomes_identical"):
-        failures.append(
-            "shard series: the current run did not assert identical "
-            "outcome sets"
-        )
-
-
 def check_spill(base_record, cur_record, tolerance, failures) -> None:
     """Gate the E13 spill run: still overflows, still byte-identical."""
     if not cur_record.get("identical"):
@@ -302,11 +252,6 @@ def main(argv=None) -> int:
             args.tolerance,
             failures,
         )
-    if "e13_sharded" in base and "e13_sharded" in cur:
-        gated += 1
-        check_sharded(
-            base["e13_sharded"], cur["e13_sharded"], args.tolerance, failures
-        )
     if "e13_spill" in base and "e13_spill" in cur:
         gated += 1
         check_spill(
@@ -321,8 +266,8 @@ def main(argv=None) -> int:
     if not gated:
         print(
             f"{args.baseline} and {args.current} share no gated record "
-            "(e12_hotpath, e8_peterson_reduction_series, e13_sharded, "
-            "e13_spill or e13_checkpoint)",
+            "(e12_hotpath, e8_peterson_reduction_series, e13_spill or "
+            "e13_checkpoint)",
             file=sys.stderr,
         )
         return 1

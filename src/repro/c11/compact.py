@@ -711,12 +711,11 @@ class CachedKey:
     to the wrapped form transparently.
     """
 
-    __slots__ = ("parts", "_hash", "_digest")
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts) -> None:
         self.parts = parts
         self._hash = hash(parts)
-        self._digest = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -734,19 +733,6 @@ class CachedKey:
     def __reduce__(self):
         # hashes of strings are salted per process: rebuild, never ship
         return (CachedKey, (self.parts,))
-
-    def digest(self) -> bytes:
-        """A stable cross-process digest of the key (DESIGN.md §15).
-
-        Unlike ``__hash__`` (salted per process via string hashing),
-        the digest is identical in every process, so shard assignment
-        can route through it.  Computed once per key object.
-        """
-        if self._digest is None:
-            from repro.engine.keys import key_digest
-
-            self._digest = key_digest(self.parts)
-        return self._digest
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,9 @@ Commands
     Parse a ``.litmus`` file (see :mod:`repro.lang.parser`), explore it
     exhaustively under a memory model and decide its ``exists`` /
     ``forbidden`` clause.  Exit code 0 when the verdict matches the
-    clause's intent, 1 otherwise.  ``--shards N`` partitions the single
-    exploration across N worker shards and ``--spill`` bounds the
-    in-memory visited set with an on-disk bucket store — both
-    outcome-identical by construction (DESIGN.md §15).
+    clause's intent, 1 otherwise.  ``--spill`` bounds the in-memory
+    visited set with an on-disk bucket store — outcome-identical by
+    construction (DESIGN.md §15).
 
 ``table``
     Print the built-in litmus suite's verdict table under RA and SC
@@ -44,10 +43,7 @@ Commands
     closures on every reachable state (DESIGN.md §11), and
     ``--check-lowering`` the lowering oracle, replaying every program
     with the compiled step tables on and off and diffing the full
-    transition streams (DESIGN.md §12), and ``--check-shards`` the
-    shard-parity oracle, re-exploring each program hash-partitioned
-    across three shards and requiring exact parity with the
-    single-process search (DESIGN.md §15).  Divergences
+    transition streams (DESIGN.md §12).  Divergences
     are delta-debugged to minimal reproducers and persisted under
     ``--corpus-dir`` for pytest replay.  Exit code 1 iff any diverged.
 
@@ -219,35 +215,30 @@ def _profile_lines(configs: int, stats) -> List[str]:
     ]
 
 
-def _check_shards(args: argparse.Namespace) -> None:
-    """Fail sharding misconfigurations up front with CLI-shaped errors
-    (explore() raises the same constraints as ValueErrors)."""
-    shards = getattr(args, "shards", 1)
-    if shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if shards > 1:
-        if getattr(args, "strategy", "bfs") != "bfs":
-            raise SystemExit(
-                "--shards requires --strategy bfs (the superstep "
-                "schedule is level-synchronous — DESIGN.md §15)"
-            )
-        if args.reduction not in ("none", "sleep"):
-            raise SystemExit(
-                f"--shards supports --reduction none or sleep, not "
-                f"{args.reduction!r} (optimal carries cross-state "
-                "scheduling state that does not partition — DESIGN.md §15)"
-            )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     import os
     import shutil
     import tempfile
 
-    from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
+    from repro.engine.core import OptionError
+    from repro.faults import (
+        FaultInterrupt,
+        FaultPlan,
+        active_plan,
+        clear_plan,
+        set_plan,
+    )
     from repro.lang.parser import run_parsed_litmus
 
-    _check_shards(args)
+    # a malformed fault spec is a usage error, reported before any work
+    source = "--inject-faults" if args.inject_faults else "REPRO_FAULTS"
+    try:
+        plan = (
+            FaultPlan(args.inject_faults) if args.inject_faults
+            else active_plan()
+        )
+    except ValueError as exc:
+        args.usage_error(f"{source}: {exc}")
     parsed = _load(args.file)
     model = _model(args.model)
     spill_dir, spill_max_bytes, tmp, claimed = None, None, None, None
@@ -265,19 +256,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             tmp = tempfile.TemporaryDirectory(prefix="repro-spill-")
             spill_dir = tmp.name
     if args.inject_faults:
-        try:
-            set_plan(FaultPlan(args.inject_faults))
-        except ValueError as exc:
-            raise SystemExit(f"--inject-faults: {exc}")
+        set_plan(plan)
     try:
         reachable, result = run_parsed_litmus(
             parsed, model=model, max_events=args.max_events,
             strategy=args.strategy, reduction=args.reduction,
-            shards=args.shards,
             spill_dir=spill_dir, spill_max_bytes=spill_max_bytes,
             checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
             resume=args.resume,
         )
+    except OptionError as exc:
+        args.usage_error(str(exc))
     except FaultInterrupt as exc:
         where = exc.checkpoint or "none written"
         print(f"fault injection stopped the run: {exc}")
@@ -322,12 +311,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         ok = True
     print("verdict:", "OK" if ok else "UNEXPECTED")
     stats = result.stats
-    if stats.faults or stats.retries:
-        print(
-            f"recovery: {stats.faults} worker fault(s), "
-            f"{stats.retries} retried attempt(s), "
-            f"{stats.respawns} respawned worker(s)"
-        )
     _note_stats(
         configs=result.configs,
         transitions=result.transitions,
@@ -336,12 +319,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         time_total=stats.time_total,
         peak_frontier=stats.peak_frontier,
         races=stats.races,
-        shards=stats.shards if stats.shards else None,
         spills=stats.spills if stats.spills else None,
         spill_failures=stats.spill_failures if stats.spill_failures else None,
-        faults=stats.faults if stats.faults else None,
-        retries=stats.retries if stats.retries else None,
-        respawns=stats.respawns if stats.respawns else None,
         checkpoints=stats.checkpoints if stats.checkpoints else None,
         resumed=stats.resumed if stats.resumed else None,
         resumed_from=args.resume,
@@ -360,7 +339,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         litmus_jobs,
     )
 
-    _check_shards(args)
     models = [m.strip().lower() for m in args.models.split(",")]
     for name in models:
         if name not in MODELS:
@@ -369,12 +347,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
             )
     work = litmus_jobs(
         models=models, extra=args.extra, strategy=args.strategy,
-        reduction=args.reduction, shards=args.shards,
+        reduction=args.reduction,
     )
     if args.case_studies:
         work += case_study_jobs(
             strategy=args.strategy, reduction=args.reduction,
-            shards=args.shards,
         )
 
     runner = ParallelRunner(jobs=args.jobs)
@@ -485,7 +462,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             reduction=args.reduction,
             check_orders=args.check_orders,
             check_lowering=args.check_lowering,
-            check_shards=args.check_shards,
             check_faults=args.check_faults,
             progress=heartbeat,
         )
@@ -951,13 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'optimal' is the parsimonious tier, DESIGN.md §13)",
     )
     run.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the single exploration across N worker shards "
-        "by canonical-key hash (outcome-identical by the parity "
-        "contract; requires bfs and reduction none/sleep — "
-        "DESIGN.md §15)",
-    )
-    run.add_argument(
         "--spill", action="store_true",
         help="bound the in-memory visited set: once it exceeds the "
         "--spill-bytes budget, keys move to an on-disk bucket store "
@@ -971,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--spill-bytes", type=int, default=512 * 1024 * 1024, metavar="B",
         help="estimated in-memory visited-set budget before spilling "
-        "(default 512MB; split across shards under --shards)",
+        "(default 512MB)",
     )
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -986,17 +955,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--resume", default=None, metavar="PATH",
         help="continue a checkpointed run; the file's fingerprint must "
-        "match this invocation (program, model, bounds, reduction, "
-        "shard count)",
+        "match this invocation (program, model, bounds, strategy, "
+        "reduction)",
     )
     run.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection (testing): e.g. "
-        "'kill-worker:shard=1,round=2;interrupt:configs=500' — same "
-        "grammar as REPRO_FAULTS (DESIGN.md §16)",
+        "'enospc:spill=1;interrupt:configs=500' — same grammar as "
+        "REPRO_FAULTS (DESIGN.md §16)",
     )
     _add_obs_flags(run)
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, usage_error=run.error)
 
     suite = sub.add_parser(
         "suite", help="run the litmus suite via the parallel engine runner"
@@ -1020,12 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=REDUCTIONS,
         help="partial-order reduction applied in every job "
         "(verdict-identical by design; see DESIGN.md §9 and §13)",
-    )
-    suite.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="shard each litmus/case-study exploration N ways inside "
-        "its job (in-process superstep schedule inside pool workers; "
-        "verdict-identical — DESIGN.md §15)",
     )
     _add_obs_flags(suite, progress=True)
     suite.set_defaults(func=cmd_suite)
@@ -1063,14 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         "off and require identical transition streams at every "
         "reachable configuration (DESIGN.md §12); slower, catches "
         "compiler bugs",
-    )
-    fuzz.add_argument(
-        "--check-shards", action="store_true",
-        help="re-explore each generated program hash-partitioned across "
-        "three shards and require exact parity with the single-process "
-        "search — outcomes, truncation flag and config count "
-        "(DESIGN.md §15); the continuous soundness check of the "
-        "sharded explorer",
     )
     fuzz.add_argument(
         "--check-faults", action="store_true",

@@ -33,6 +33,7 @@ from repro.engine.stats import EngineStats
 from repro.engine.core import (
     ConfigKey,
     ExplorationResult,
+    OptionError,
     Violation,
     explore,
     reachable_states,
@@ -48,6 +49,7 @@ __all__ = [
     "Frontier",
     "KEY_CACHE",
     "KeyCacheStats",
+    "OptionError",
     "REDUCTIONS",
     "STRATEGIES",
     "Violation",

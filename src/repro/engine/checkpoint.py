@@ -14,13 +14,15 @@ File format (``repro-ckpt/1``)::
     b"repro-ckpt/1\\n"  +  pickle({"fingerprint": ..., "payload": ...})
 
 * The **fingerprint** identifies the run the state belongs to: a digest
-  of the program source, the model name, the bounds, strategy,
-  reduction and shard count.  Resuming checks every field
-  and refuses a mismatch — resuming Peterson's frontier into a litmus
-  test would otherwise fail in silently wrong ways.
+  of the program source, the model name, the bounds, strategy and
+  reduction.  Resuming checks every field, including one only the file
+  carries (such as the ``shards`` field of files written before the
+  sharded search was removed), and refuses a mismatch — resuming
+  Peterson's frontier into a litmus test would otherwise fail in
+  silently wrong ways.
 * The **payload** is algorithm-tagged loop state (``"plain"`` for the
-  unreduced loop, ``"sleep"`` for sleep sets, ``"shard"`` for the
-  bulk-synchronous sharded search, one entry per shard core).  Keys
+  unreduced loop, ``"sleep"`` for sleep sets), and a resume refuses
+  another algorithm's tag.  Keys
   and configurations travel by pickle — safe because every cached hash
   in the object graph (``CachedKey``, ``Program``, lowered programs)
   rebuilds on unpickle rather than shipping its process-salted value.
@@ -65,7 +67,6 @@ def run_fingerprint(
     strategy: str,
     reduction: str,
     canonicalize: bool,
-    shards: int,
 ) -> dict:
     """The identity a checkpoint must match to be resumable.
 
@@ -92,7 +93,6 @@ def run_fingerprint(
         "strategy": strategy,
         "reduction": reduction,
         "canonicalize": canonicalize,
-        "shards": shards,
     }
 
 
@@ -127,7 +127,8 @@ def read_checkpoint(
     """Load ``(fingerprint, payload)``; verify ``expect`` if given.
 
     Raises :class:`CheckpointError` on a missing/foreign/torn file or
-    on any fingerprint field that disagrees with the resuming run's.
+    on any fingerprint field that disagrees with the resuming run's,
+    a field present on one side only included.
     """
     try:
         with open(path, "rb") as handle:
@@ -150,9 +151,9 @@ def read_checkpoint(
     if expect is not None:
         mismatched = [
             f"{field}: checkpoint={fingerprint.get(field)!r} "
-            f"run={value!r}"
-            for field, value in expect.items()
-            if fingerprint.get(field) != value
+            f"run={expect.get(field)!r}"
+            for field in sorted(set(expect) | set(fingerprint))
+            if fingerprint.get(field) != expect.get(field)
         ]
         if mismatched:
             raise CheckpointError(
@@ -163,7 +164,7 @@ def read_checkpoint(
 
 
 # ----------------------------------------------------------------------
-# Visited-set snapshots (shared by the plain, sleep and sharded loops)
+# Visited-set snapshots (shared by the plain and sleep loops)
 # ----------------------------------------------------------------------
 
 

@@ -78,8 +78,8 @@ def frozen_survivors() -> Iterator[None]:
     ``gc.get_freeze_count()`` are back to their entry values.  If the
     caller had already frozen objects, the scope meters but neither
     freezes nor unfreezes.  Searches run one per process (the parallel
-    runner and the sharded search use processes), so the scope is
-    process-wide, not per thread.
+    runner uses processes), so the scope is process-wide, not per
+    thread.
     """
     global _depth, _freezing
     _depth += 1

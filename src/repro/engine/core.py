@@ -67,6 +67,14 @@ S = TypeVar("S")
 ConfigKey = Tuple[Program, Hashable]
 
 
+class OptionError(ValueError):
+    """An :func:`explore` option or option combination it refuses.
+
+    Raised before any search work, so a caller can report it as a usage
+    error (``repro run`` exits 2 with it, the way argparse does).
+    """
+
+
 @dataclass
 class Violation(Generic[S]):
     """One failed check, with the configuration it failed at."""
@@ -175,8 +183,6 @@ def explore(
     canonicalize: bool = True,
     strategy: str = "bfs",
     reduction: str = "none",
-    shards: int = 1,
-    shard_processes: Optional[bool] = None,
     spill_dir: Optional[str] = None,
     spill_max_entries: Optional[int] = None,
     spill_max_bytes: Optional[int] = None,
@@ -188,7 +194,10 @@ def explore(
 
     ``max_events`` bounds the number of program events per state — the
     loop-unrolling bound; ``max_configs`` is a hard safety net on the
-    total number of distinct configurations.  ``canonicalize=False``
+    total number of distinct configurations.  A negative ``max_events``
+    or a ``max_configs`` below 1 bounds nothing meaningful and raises
+    :class:`OptionError`, as does every refused option combination
+    below.  ``canonicalize=False``
     disables tag-renaming deduplication (states then only merge when
     their tags coincide) — exists for the E10 ablation, which quantifies
     what canonicalisation buys.
@@ -223,20 +232,13 @@ def explore(
     therefore allowed.  ``"optimal"`` prunes configurations itself,
     so combining it with ``check_step`` raises ``ValueError``.
 
-    ``shards > 1`` runs the hash-partitioned sharded search
-    (:mod:`repro.engine.shard`, DESIGN.md §15): breadth-first only,
-    reductions ``"none"``/``"sleep"``, canonical keys.  The parity
-    contract guarantees identical configuration/transition counts and
-    outcome sets for every shard count on exhaustive runs.
-    ``shard_processes`` forces (True) or forbids (False) real worker
-    processes; the default auto-selects.
-
     ``spill_dir`` plus ``spill_max_entries``/``spill_max_bytes`` bound
     the in-memory visited set: past the budget, keys overflow to an
     on-disk store under ``spill_dir``
     (:class:`~repro.engine.visited.SpillableVisitedSet`) that is
     removed when the run finishes.  Spilling requires canonical keys
-    and is supported by the unreduced, sleep and sharded searches.
+    and is supported by the unreduced and sleep searches (DESIGN.md
+    §15).
 
     ``checkpoint`` names a ``repro-ckpt/1`` file
     (:mod:`repro.engine.checkpoint`, DESIGN.md §16) rewritten
@@ -258,51 +260,146 @@ def explore(
     from repro.engine.por import REDUCTIONS, explore_reduced
     from repro.interp.compiled import maybe_lower
 
+    if max_events is not None and max_events < 0:
+        raise OptionError(f"max_events must be >= 0, not {max_events}")
+    if max_configs is not None and max_configs < 1:
+        raise OptionError(f"max_configs must be >= 1, not {max_configs}")
     spilling = spill_max_entries is not None or spill_max_bytes is not None
     if spilling and spill_dir is None:
-        raise ValueError("a visited-set spill budget needs spill_dir")
+        raise OptionError("a visited-set spill budget needs spill_dir")
     if spill_dir is not None and not canonicalize:
-        raise ValueError(
+        raise OptionError(
             "visited-set spilling encodes canonical keys; "
             "canonicalize=False has no encodable key"
         )
     if spill_dir is not None and reduction not in ("none", "sleep"):
-        raise ValueError(
+        raise OptionError(
             f"visited-set spilling supports the 'none' and 'sleep' "
             f"searches; reduction={reduction!r} keeps per-key backtrack "
             "state that cannot overflow"
         )
     if checkpoint is not None or resume is not None:
         if not canonicalize:
-            raise ValueError(
+            raise OptionError(
                 "checkpoint/resume snapshots canonical keys; "
                 "canonicalize=False has no snapshottable key"
             )
         if reduction not in ("none", "sleep"):
-            raise ValueError(
+            raise OptionError(
                 f"checkpoint/resume supports the 'none' and 'sleep' "
                 f"searches; reduction={reduction!r} keeps per-key "
                 "backtrack state the snapshot format does not cover"
             )
         if strategy not in ("bfs", "dfs"):
-            raise ValueError(
+            raise OptionError(
                 f"checkpoint/resume supports the 'bfs' and 'dfs' "
                 f"strategies, not {strategy!r}"
             )
     if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
+        raise OptionError("checkpoint_every must be >= 1")
     gc0 = GC_METER.snapshot()
     with frozen_survivors():
-        if shards > 1:
-            from repro.engine.shard import explore_sharded
+        # Compile once per run: every representation decision happens
+        # here, so the deepening loop, the reduced traversals and the
+        # plain search all see the same (possibly lowered) program.  A
+        # pass-through when the gate is off, the program is already
+        # lowered, or the compiler refuses (DESIGN.md §12).
+        program = maybe_lower(program)
 
-            result = explore_sharded(
+        if reduction not in REDUCTIONS:
+            raise OptionError(
+                f"unknown reduction {reduction!r}; "
+                f"choose from {REDUCTIONS}"
+            )
+        fingerprint = None
+        resume_payload = None
+        if checkpoint is not None or resume is not None:
+            from repro.engine.checkpoint import (
+                CheckpointError,
+                read_checkpoint,
+                run_fingerprint,
+            )
+
+            fingerprint = run_fingerprint(
+                program, init_values, model,
+                max_events=max_events, max_configs=max_configs,
+                strategy=strategy, reduction=reduction,
+                canonicalize=canonicalize,
+            )
+            if resume is not None:
+                _, resume_payload = read_checkpoint(
+                    resume, expect=fingerprint
+                )
+                # defense in depth behind the fingerprint: the payload
+                # must be this loop's own state
+                algo = "plain" if reduction == "none" else reduction
+                if resume_payload.get("algo") != algo:
+                    raise CheckpointError(
+                        f"checkpoint {resume!r} holds "
+                        f"{resume_payload.get('algo')!r} loop state, not "
+                        f"the {algo!r} loop state this run resumes"
+                    )
+
+        if reduction != "none":
+            if check_step is not None and reduction != "sleep":
+                raise OptionError(
+                    "check_step hooks quantify over transitions, and the "
+                    f"{reduction!r} reduction prunes configurations "
+                    "outright; use reduction='sleep' "
+                    "(configuration-identical) or 'none'"
+                )
+            kwargs_step = {}
+            if check_step is not None:
+                kwargs_step["check_step"] = check_step
+            if spill_dir is not None and reduction == "sleep":
+                kwargs_step["spill_dir"] = spill_dir
+                kwargs_step["spill_max_entries"] = spill_max_entries
+                kwargs_step["spill_max_bytes"] = spill_max_bytes
+            if reduction == "sleep" and (
+                checkpoint is not None or resume_payload is not None
+            ):
+                kwargs_step["checkpoint"] = checkpoint
+                kwargs_step["checkpoint_every"] = checkpoint_every
+                kwargs_step["resume_payload"] = resume_payload
+                kwargs_step["fingerprint"] = fingerprint
+            result = explore_reduced(
                 program,
                 init_values,
                 model,
-                shards,
+                reduction,
+                max_events=max_events,
+                max_configs=max_configs,
+                check_config=check_config,
+                stop_on_violation=stop_on_violation,
+                keep_representatives=keep_representatives,
+                canonicalize=canonicalize,
+                strategy=strategy,
+                **kwargs_step,
+            )
+        elif (
+            strategy == "iddfs" and max_events is not None
+            and max_events >= 1
+        ):
+            result = _explore_deepening(
+                program,
+                init_values,
+                model,
+                max_events=max_events,
+                max_configs=max_configs,
+                check_config=check_config,
+                check_step=check_step,
+                stop_on_violation=stop_on_violation,
+                keep_representatives=keep_representatives,
+                canonicalize=canonicalize,
+                spill_dir=spill_dir,
+                spill_max_entries=spill_max_entries,
+                spill_max_bytes=spill_max_bytes,
+            )
+        else:
+            result = _explore_once(
+                program,
+                init_values,
+                model,
                 max_events=max_events,
                 max_configs=max_configs,
                 check_config=check_config,
@@ -311,123 +408,14 @@ def explore(
                 keep_representatives=keep_representatives,
                 canonicalize=canonicalize,
                 strategy=strategy,
-                reduction=reduction,
-                processes=shard_processes,
                 spill_dir=spill_dir,
                 spill_max_entries=spill_max_entries,
                 spill_max_bytes=spill_max_bytes,
                 checkpoint=checkpoint,
                 checkpoint_every=checkpoint_every,
-                resume=resume,
+                resume_payload=resume_payload,
+                fingerprint=fingerprint,
             )
-        else:
-            # Compile once per run: every representation decision happens
-            # here, so the deepening loop, the reduced traversals and the
-            # plain search all see the same (possibly lowered) program.  A
-            # pass-through when the gate is off, the program is already
-            # lowered, or the compiler refuses (DESIGN.md §12).
-            program = maybe_lower(program)
-
-            if reduction not in REDUCTIONS:
-                raise ValueError(
-                    f"unknown reduction {reduction!r}; "
-                    f"choose from {REDUCTIONS}"
-                )
-            fingerprint = None
-            resume_payload = None
-            if checkpoint is not None or resume is not None:
-                from repro.engine.checkpoint import (
-                    read_checkpoint,
-                    run_fingerprint,
-                )
-
-                fingerprint = run_fingerprint(
-                    program, init_values, model,
-                    max_events=max_events, max_configs=max_configs,
-                    strategy=strategy, reduction=reduction,
-                    canonicalize=canonicalize, shards=1,
-                )
-                if resume is not None:
-                    _, resume_payload = read_checkpoint(
-                        resume, expect=fingerprint
-                    )
-
-            if reduction != "none":
-                if check_step is not None and reduction != "sleep":
-                    raise ValueError(
-                        "check_step hooks quantify over transitions, and the "
-                        f"{reduction!r} reduction prunes configurations "
-                        "outright; use reduction='sleep' "
-                        "(configuration-identical) or 'none'"
-                    )
-                kwargs_step = {}
-                if check_step is not None:
-                    kwargs_step["check_step"] = check_step
-                if spill_dir is not None and reduction == "sleep":
-                    kwargs_step["spill_dir"] = spill_dir
-                    kwargs_step["spill_max_entries"] = spill_max_entries
-                    kwargs_step["spill_max_bytes"] = spill_max_bytes
-                if reduction == "sleep" and (
-                    checkpoint is not None or resume_payload is not None
-                ):
-                    kwargs_step["checkpoint"] = checkpoint
-                    kwargs_step["checkpoint_every"] = checkpoint_every
-                    kwargs_step["resume_payload"] = resume_payload
-                    kwargs_step["fingerprint"] = fingerprint
-                result = explore_reduced(
-                    program,
-                    init_values,
-                    model,
-                    reduction,
-                    max_events=max_events,
-                    max_configs=max_configs,
-                    check_config=check_config,
-                    stop_on_violation=stop_on_violation,
-                    keep_representatives=keep_representatives,
-                    canonicalize=canonicalize,
-                    strategy=strategy,
-                    **kwargs_step,
-                )
-            elif (
-                strategy == "iddfs" and max_events is not None
-                and max_events >= 1
-            ):
-                result = _explore_deepening(
-                    program,
-                    init_values,
-                    model,
-                    max_events=max_events,
-                    max_configs=max_configs,
-                    check_config=check_config,
-                    check_step=check_step,
-                    stop_on_violation=stop_on_violation,
-                    keep_representatives=keep_representatives,
-                    canonicalize=canonicalize,
-                    spill_dir=spill_dir,
-                    spill_max_entries=spill_max_entries,
-                    spill_max_bytes=spill_max_bytes,
-                )
-            else:
-                result = _explore_once(
-                    program,
-                    init_values,
-                    model,
-                    max_events=max_events,
-                    max_configs=max_configs,
-                    check_config=check_config,
-                    check_step=check_step,
-                    stop_on_violation=stop_on_violation,
-                    keep_representatives=keep_representatives,
-                    canonicalize=canonicalize,
-                    strategy=strategy,
-                    spill_dir=spill_dir,
-                    spill_max_entries=spill_max_entries,
-                    spill_max_bytes=spill_max_bytes,
-                    checkpoint=checkpoint,
-                    checkpoint_every=checkpoint_every,
-                    resume_payload=resume_payload,
-                    fingerprint=fingerprint,
-                )
     collections, seconds = GC_METER.snapshot()
     result.stats.gc_collections += collections - gc0[0]
     result.stats.time_gc += seconds - gc0[1]

@@ -98,56 +98,6 @@ class DFSFrontier(Frontier[T]):
         self._items = list(items)
 
 
-class LevelFrontier(Frontier[T]):
-    """A FIFO frontier with an explicit level (superstep) boundary.
-
-    The sharded explorer (DESIGN.md §15) runs breadth-first search as
-    bulk-synchronous supersteps: every configuration at depth ``d`` is
-    expanded before any at ``d+1``, with one cross-shard message
-    exchange per level.  ``take_level`` drains the current level
-    wholesale; pushes during a superstep accumulate into the *next*
-    level.  Popping item-by-item still works (and is FIFO within the
-    level order), so the class remains a :class:`Frontier`.
-    """
-
-    def __init__(self) -> None:
-        self._current: Deque[T] = deque()
-        self._next: List[T] = []
-
-    def push(self, item: T) -> None:
-        self._next.append(item)
-
-    def pop(self) -> T:
-        if not self._current:
-            self.advance()
-        return self._current.popleft()
-
-    def take_level(self) -> List[T]:
-        """Drain and return every item of the current level."""
-        if not self._current:
-            self.advance()
-        items = list(self._current)
-        self._current.clear()
-        return items
-
-    def advance(self) -> None:
-        """Promote the accumulated next level to current."""
-        self._current.extend(self._next)
-        self._next.clear()
-
-    def __len__(self) -> int:
-        return len(self._current) + len(self._next)
-
-    def snapshot(self) -> List[T]:
-        # two lists, kept apart so the level boundary survives a resume
-        return [list(self._current), list(self._next)]
-
-    def restore(self, items: List[T]) -> None:
-        current, upcoming = items
-        self._current = deque(current)
-        self._next = list(upcoming)
-
-
 def frontier_class(strategy: str) -> Type[Frontier]:
     """The frontier class realising ``strategy``.
 

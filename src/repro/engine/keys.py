@@ -26,7 +26,6 @@ as ``uncached``.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Hashable
 
 
@@ -104,19 +103,18 @@ def cached_canonical_key(state) -> Hashable:
 
 
 # ----------------------------------------------------------------------
-# Stable cross-process digests (DESIGN.md §15)
+# Stable byte encoding (DESIGN.md §15)
 # ----------------------------------------------------------------------
 #
 # ``hash()`` over canonical keys is salted per process (strings), so it
-# can never decide which shard owns a configuration: two workers would
-# disagree about every key.  ``stable_encode`` maps the key structures
-# the engine produces — nested tuples of str/int/None, plus frozensets
-# and bytes for robustness — to a canonical byte string that is
-# *injective with respect to equality* (equal keys encode equally,
-# distinct keys distinctly), and ``key_digest`` hashes that encoding
-# with blake2b.  The same encoding doubles as the dense on-disk record
-# format of :class:`~repro.engine.visited.SpillableVisitedSet`, where
-# injectivity is what makes byte comparison an exact membership test.
+# cannot identify a key on disk or in a checkpoint resumed by another
+# interpreter.  ``stable_encode`` maps the key structures the engine
+# produces — nested tuples of str/int/None, plus frozensets and bytes
+# for robustness — to a canonical byte string that is *injective with
+# respect to equality* (equal keys encode equally, distinct keys
+# distinctly).  It is the dense on-disk record format of
+# :class:`~repro.engine.visited.SpillableVisitedSet`, where injectivity
+# is what makes byte comparison an exact membership test.
 
 #: bool must encode as int: ``True == 1`` in Python, and the in-memory
 #: visited set merges them — the byte encoding has to agree.
@@ -219,26 +217,8 @@ def stable_encode(obj) -> bytes:
     :class:`~repro.c11.compact.CachedKey` encodes as its raw parts —
     matching its ``__eq__``, which is transparent against plain tuples.
     Unsupported types raise ``TypeError``: a silent fallback (pickle,
-    repr) could depend on process state and corrupt shard routing.
+    repr) could depend on process state and corrupt the spilled set.
     """
     out = bytearray()
     _encode_into(obj, out)
     return bytes(out)
-
-
-def key_digest(key) -> bytes:
-    """A 16-byte digest of ``key``, stable across processes and runs.
-
-    This — not ``hash()`` — is what shard assignment routes through:
-    Python string hashing is ``PYTHONHASHSEED``-salted, so the builtin
-    hash of the same canonical key differs between the worker processes
-    of one sharded exploration.  blake2b over :func:`stable_encode` is
-    deterministic everywhere, including across fork/spawn start methods
-    (pinned by the spawn-vs-fork test in ``tests/test_key_digest.py``).
-    """
-    return hashlib.blake2b(stable_encode(key), digest_size=16).digest()
-
-
-def shard_of(digest: bytes, shards: int) -> int:
-    """The shard owning a key with ``digest`` (mod-N over the prefix)."""
-    return int.from_bytes(digest[:8], "big") % shards

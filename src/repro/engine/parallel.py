@@ -73,13 +73,6 @@ class SuiteJob:
     #: Verify jobs admit only the configuration-identical "sleep" tier
     #: and fall back to "none" under "optimal" (DESIGN.md §10).
     reduction: str = "none"
-    #: intra-run shards for this job's exploration (DESIGN.md §15).
-    #: Suite workers are daemonic pool processes, so a shards > 1 job
-    #: runs the sharded search in its in-process mode — same parity
-    #: contract, no nested fork.  Litmus and case-study kinds honour it;
-    #: fuzz and verify kinds run their own exploration schedules and
-    #: ignore it.
-    shards: int = 1
 
     @property
     def label(self) -> str:
@@ -178,7 +171,6 @@ def litmus_jobs(
     extra: bool = False,
     strategy: str = "bfs",
     reduction: str = "none",
-    shards: int = 1,
 ) -> List[SuiteJob]:
     """One job per (litmus test, model) over the built-in suite."""
     from repro.litmus.extra import EXTRA_TESTS
@@ -188,7 +180,7 @@ def litmus_jobs(
     return [
         SuiteJob(
             kind="litmus", name=test.name, model=model, strategy=strategy,
-            reduction=reduction, shards=shards,
+            reduction=reduction,
         )
         for test in tests
         for model in models
@@ -198,12 +190,11 @@ def litmus_jobs(
 def case_study_jobs(
     strategy: str = "bfs",
     reduction: str = "none",
-    shards: int = 1,
 ) -> List[SuiteJob]:
     """The case-study checks as suite jobs (RA model, modest bounds)."""
     return [
         SuiteJob(kind="case-study", name=name, strategy=strategy,
-                 reduction=reduction, shards=shards)
+                 reduction=reduction)
         for name in CASE_STUDIES
     ]
 
@@ -262,7 +253,7 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
     test = _litmus_by_name(job.name)
     outcome = run_litmus(
         test, model, max_configs=job.max_configs, strategy=job.strategy,
-        reduction=job.reduction, shards=job.shards,
+        reduction=job.reduction,
     )
     stats = outcome.result.stats
     return SuiteJobResult(
@@ -290,8 +281,7 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
 
 
 def _case_study_exploration(name: str, strategy: str, max_configs,
-                            reduction: str = "none",
-                            shards: int = 1):
+                            reduction: str = "none"):
     from repro.casestudies.dekker import (
         DEKKER_INIT,
         dekker_entry_program,
@@ -371,14 +361,12 @@ def _case_study_exploration(name: str, strategy: str, max_configs,
         check_config=check,
         strategy=strategy,
         reduction=reduction,
-        shards=shards,
     )
 
 
 def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
     result = _case_study_exploration(
         job.name, job.strategy, job.max_configs, reduction=job.reduction,
-        shards=job.shards,
     )
     return SuiteJobResult(
         job=job,

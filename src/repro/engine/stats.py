@@ -52,8 +52,8 @@ class EngineStats:
     #: legacy walker answers through generators and leaves this zero.
     time_model: float = 0.0
     #: Cyclic-collector passes during this run and the wall time they
-    #: took — deltas of :data:`repro.engine.collector.GC_METER`, summed
-    #: over shard workers.  Collections land wherever the allocation
+    #: took — deltas of :data:`repro.engine.collector.GC_METER`.
+    #: Collections land wherever the allocation
     #: that triggered them happened, so ``time_gc`` overlaps the phases.
     #: Both vary from run to run.
     gc_collections: int = 0
@@ -73,29 +73,11 @@ class EngineStats:
     #: Arrivals at an already-expanded configuration: covered prunes
     #: plus re-expansions under an incomparable sleep set.
     revisits: int = 0
-    #: How many hash-partitioned shards ran this exploration (1 = the
-    #: ordinary single-owner search; DESIGN.md §15).
-    shards: int = 1
-    #: Cross-shard successor messages routed out of / into this shard's
-    #: worker (equal in total across a completed run — the count-based
-    #: termination check).
-    shard_sent: int = 0
-    shard_recv: int = 0
-    #: Superstep rounds the sharded search synchronised on (max-merged:
-    #: every shard participates in every round).
-    shard_rounds: int = 0
     #: Visited-set spill events and keys moved to the on-disk store.
     spills: int = 0
     spilled_keys: int = 0
-    #: Fault-tolerance block (DESIGN.md §16).  ``faults`` counts worker
-    #: deaths (and injected faults) the run survived, ``retries`` the
-    #: sharded attempts restarted after one, ``respawns`` the worker
-    #: processes relaunched for those attempts.
-    faults: int = 0
-    retries: int = 0
-    respawns: int = 0
     #: Spill writes that failed (e.g. ENOSPC) and were absorbed by
-    #: falling back to the in-memory set.
+    #: falling back to the in-memory set (DESIGN.md §16).
     spill_failures: int = 0
     #: Checkpoint snapshots written during the run, and whether the run
     #: itself started from one (0 | 1).
@@ -133,14 +115,8 @@ class EngineStats:
         self.sleep_hits += other.sleep_hits
         self.races += other.races
         self.revisits += other.revisits
-        self.shard_sent += other.shard_sent
-        self.shard_recv += other.shard_recv
-        self.shard_rounds = max(self.shard_rounds, other.shard_rounds)
         self.spills += other.spills
         self.spilled_keys += other.spilled_keys
-        self.faults += other.faults
-        self.retries += other.retries
-        self.respawns += other.respawns
         self.spill_failures += other.spill_failures
         self.checkpoints += other.checkpoints
         self.resumed = max(self.resumed, other.resumed)
@@ -169,18 +145,10 @@ class EngineStats:
                 f"sleep-hits={self.sleep_hits} races={self.races} "
                 f"revisits={self.revisits}"
             )
-        if self.shards > 1:
-            line += (
-                f" shards={self.shards} rounds={self.shard_rounds} "
-                f"routed={self.shard_sent}/{self.shard_recv}"
-            )
         if self.spills:
             line += f" spills={self.spills} spilled-keys={self.spilled_keys}"
-        if self.faults or self.retries or self.respawns or self.spill_failures:
-            line += (
-                f" faults={self.faults} retries={self.retries} "
-                f"respawns={self.respawns} spill-failures={self.spill_failures}"
-            )
+        if self.spill_failures:
+            line += f" spill-failures={self.spill_failures}"
         if self.checkpoints or self.resumed:
             line += f" checkpoints={self.checkpoints}"
             if self.resumed:

@@ -29,12 +29,10 @@ Because the encoding is injective with respect to key equality (see
 ``stable_encode``), byte comparison on disk decides exactly the same
 membership question the in-memory set's ``==`` decides.
 
-Both the single-process loop (``explore(..., spill_dir=...)``) and each
-worker of the sharded explorer (:mod:`repro.engine.shard`) use this
-class; sharded workers each own a disjoint key slice, so their stores
-never share buckets.  Spill directories are created lazily, are private
-to one exploration, and are removed by the owning explorer's
-``finally`` — including when a worker crashed mid-run.
+The unreduced and sleep-set loops (``explore(..., spill_dir=...)``)
+use this class.  Spill directories are created lazily, are private to
+one exploration, and are removed by the owning explorer's ``finally``
+— including when a check hook crashed mid-run.
 """
 
 from __future__ import annotations
@@ -129,8 +127,7 @@ class SpillableVisitedSet:
         self._mem = set()
         self._count = 0
         self.spilled = False
-        #: how many times the in-memory phase overflowed (0 or 1 per
-        #: set; summed across shards by the stats merge)
+        #: how many times the in-memory phase overflowed (0 or 1)
         self.spills = 0
         #: keys written to disk so far (filter size)
         self.spilled_keys = 0

@@ -4,9 +4,8 @@ Fault tolerance that is only exercised by real crashes is fault
 tolerance that is never exercised.  This module turns every recovery
 path in the engine into something a test (or the chaos CI job, or the
 ``--check-faults`` fuzz oracle) can trigger *on purpose*, at an exact,
-replayable point: worker ``k`` dies at round ``r``, the third spill
-write hits ``ENOSPC``, the run is interrupted after exactly ``N``
-configurations.  A fault plan is pure data parsed from a spec string,
+replayable point: the third spill write hits ``ENOSPC``, the run is
+interrupted after exactly ``N`` configurations.  A fault plan is pure data parsed from a spec string,
 so the same spec injected twice produces the same fault sequence —
 recovery bugs reproduce from the command line.
 
@@ -18,15 +17,6 @@ Spec grammar (the value of ``REPRO_FAULTS`` or ``repro run
 
 Actions:
 
-``kill-worker:shard=K,round=R``
-    Shard worker ``K`` exits hard (``os._exit(1)``) at the start of
-    superstep round ``R`` — the supervisor must detect the death and
-    retry instead of deadlocking the round.  Process mode only; each
-    ``(K, R)`` pair fires at most once per plan (the plan handed to
-    respawned workers is disarmed, so recovery cannot loop).
-``delay-queue:ms=M`` / ``delay-queue:ms=M,shard=K``
-    Sleep ``M`` milliseconds before every cross-shard batch send (of
-    worker ``K`` only, when given) — widens round-barrier race windows.
 ``enospc:spill=N``
     The ``N``-th visited-set spill write fails with ``OSError(ENOSPC)``;
     the store must absorb the failure and fall back to memory.
@@ -44,8 +34,7 @@ the harness costs nothing in ordinary runs.
 from __future__ import annotations
 
 import os
-import time
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "FaultInterrupt",
@@ -69,7 +58,7 @@ class FaultInterrupt(RuntimeError):
         self.checkpoint = checkpoint
 
 
-_ACTIONS = ("kill-worker", "delay-queue", "enospc", "interrupt")
+_ACTIONS = ("enospc", "interrupt")
 
 
 def _parse_action(text: str) -> Tuple[str, Dict[str, int]]:
@@ -101,7 +90,7 @@ def _require(name: str, params: Dict[str, int], *keys: str) -> None:
     for key in keys:
         if key not in params:
             raise ValueError(f"fault action {name!r} requires {key}=<int>")
-    extra = set(params) - set(keys) - {"shard"}
+    extra = set(params) - set(keys)
     if extra:
         raise ValueError(
             f"fault action {name!r}: unknown parameter(s) {sorted(extra)}"
@@ -118,10 +107,6 @@ class FaultPlan:
 
     def __init__(self, spec: str) -> None:
         self.spec = spec
-        #: (shard, round) pairs still armed to kill their worker.
-        self.kills: Set[Tuple[int, int]] = set()
-        #: shard (or None = every shard) → delay in seconds per send.
-        self.delays: Dict[Optional[int], float] = {}
         #: 1-based index of the spill write that must fail, if any.
         self.enospc_spill: Optional[int] = None
         #: config count at which to interrupt the run, if any.
@@ -132,13 +117,7 @@ class FaultPlan:
             if not action.strip():
                 continue
             name, params = _parse_action(action)
-            if name == "kill-worker":
-                _require(name, params, "shard", "round")
-                self.kills.add((params["shard"], params["round"]))
-            elif name == "delay-queue":
-                _require(name, params, "ms")
-                self.delays[params.get("shard")] = params["ms"] / 1000.0
-            elif name == "enospc":
+            if name == "enospc":
                 _require(name, params, "spill")
                 if params["spill"] < 1:
                     raise ValueError("enospc: spill index is 1-based")
@@ -157,22 +136,6 @@ class FaultPlan:
         return f"FaultPlan({self.spec!r})"
 
     # -- probes ---------------------------------------------------------
-
-    def kill_worker_now(self, shard: int, round_: int) -> bool:
-        """True exactly once per armed ``(shard, round)`` pair."""
-        try:
-            self.kills.remove((shard, round_))
-            return True
-        except KeyError:
-            return False
-
-    def delay_send(self, shard: int) -> None:
-        """Sleep the configured queue delay for ``shard``, if any."""
-        delay = self.delays.get(shard)
-        if delay is None:
-            delay = self.delays.get(None)
-        if delay:
-            time.sleep(delay)
 
     def spill_write_fails(self) -> bool:
         """True for the one spill write the plan dooms to ENOSPC."""
@@ -207,7 +170,7 @@ def set_plan(plan: Optional[FaultPlan]) -> None:
     """Install ``plan`` as this process's active plan (overrides env).
 
     Passing ``None`` disables fault injection even when ``REPRO_FAULTS``
-    is set — the supervisor uses this to disarm retried attempts.
+    is set.
     """
     global _override
     _override = plan

@@ -1,6 +1,6 @@
 """Differential oracles: what makes a generated program *pass*.
 
-Eight independent checks, cheapest first (the fifth through eighth are
+Seven independent checks, cheapest first (the fifth through seventh are
 opt-in):
 
 1. **Refinement chain** — the outcome sets (final values of every
@@ -55,19 +55,7 @@ opt-in):
    the continuous soundness check of the compiler in
    :mod:`repro.lang.lower`.
 
-7. **Shard parity** (``check_shards=True`` / ``repro fuzz
-   --check-shards``, off by default) — re-explore the program under RA
-   with the search hash-partitioned across three shards (DESIGN.md
-   §15) and require the sharded run to be *exactly* identical to the
-   single-process one: same terminal outcome set, same truncation
-   flag, and the same visited-configuration count — sharding
-   partitions the very same search, it never prunes.  The continuous
-   soundness check of :mod:`repro.engine.shard` over whole campaigns.
-   Inside daemonic fuzz pool workers the sharded run executes the
-   in-process superstep schedule, which is the same code path the
-   worker processes run.
-
-8. **Fault parity** (``check_faults=True`` / ``repro fuzz
+7. **Fault parity** (``check_faults=True`` / ``repro fuzz
    --check-faults``, off by default) — inject deterministic faults
    (:mod:`repro.faults`, DESIGN.md §16) into a re-exploration of the
    program and require recovery to be *exactly* outcome- and
@@ -137,7 +125,7 @@ class OracleReport:
 
     case: GeneratedCase
     #: divergence kind ("refinement" / "soundness" / "axiomatic" /
-    #: "por-parity" / "orders" / "lowering" / "shard-parity" /
+    #: "por-parity" / "orders" / "lowering" /
     #: "fault-parity" / "crash"), or ``None`` when every oracle passed
     divergence: Optional[str] = None
     detail: str = ""
@@ -307,7 +295,6 @@ def check_program(
     reduction: str = "optimal",
     check_orders: bool = False,
     check_lowering: bool = False,
-    check_shards: bool = False,
     check_faults: bool = False,
 ) -> OracleReport:
     """Run every oracle on ``case`` and report the first divergence.
@@ -318,10 +305,7 @@ def check_program(
     replays the compact derived-order self-check over every distinct
     RA-reachable state (DESIGN.md §11).  ``check_lowering`` replays the
     program under each model with the lowered IR on and off and diffs
-    the full step streams (DESIGN.md §12).  ``check_shards`` re-runs
-    the RA exploration hash-partitioned across three shards and
-    requires exact parity with the single-process search (DESIGN.md
-    §15).  ``check_faults`` injects a deterministic mid-run interrupt
+    the full step streams (DESIGN.md §12).  ``check_faults`` injects a deterministic mid-run interrupt
     (resumed from its checkpoint) and a synthetic spill-write ENOSPC
     into re-explorations and requires exact parity with the clean
     search (DESIGN.md §16).
@@ -526,77 +510,7 @@ def check_program(
             )
             return report
 
-    # 5. shard parity: the hash-partitioned search must be *exactly*
-    # identical to the single-process one — same outcome set, same
-    # truncation flag, and (unlike reductions, whose counts may only
-    # shrink) the same visited-configuration count, since sharding
-    # partitions the very same search rather than pruning it
-    # (DESIGN.md §15).  Always the in-process superstep schedule —
-    # deterministic and fork-free whether the oracle runs in the parent
-    # (jobs=1) or inside a daemonic pool worker; the process-mode test
-    # matrix covers the wire format separately.
-    if check_shards:
-        label = "shards=3"
-        try:
-            sharded = explore(
-                case.program, case.init, models["ra"](),
-                max_events=max_events, max_configs=max_configs,
-                shards=3, shard_processes=False,
-            )
-        except Exception as exc:  # noqa: BLE001 — a crash IS a finding
-            report.divergence = "crash"
-            report.detail = (
-                f"ra exploration under {label} raised "
-                f"{type(exc).__name__}: {exc}"
-            )
-            return report
-        report.configs += sharded.configs
-        report.transitions += sharded.transitions
-        report.key_hits += sharded.stats.key_hits
-        report.key_misses += sharded.stats.key_misses
-        report.time_expand += sharded.stats.time_expand
-        report.time_model += sharded.stats.time_model
-        report.expanded += sharded.stats.expanded
-        if sharded.stats.peak_frontier > report.peak_frontier:
-            report.peak_frontier = sharded.stats.peak_frontier
-        if sharded.capped:
-            # Per-shard caps fire at ceil(max_configs/shards), so a
-            # capped sharded run explored a *different* prefix than the
-            # full one: no verdict is possible, never green.
-            report.inconclusive = True
-            report.detail = (
-                f"{label}: exploration hit the config cap; no verdict"
-            )
-            return report
-        sharded_outcomes = _outcome_set(sharded.terminal)
-        if sharded_outcomes != report.outcomes["ra"]:
-            missing = report.outcomes["ra"] - sharded_outcomes
-            extra = sharded_outcomes - report.outcomes["ra"]
-            witness = _format_outcome(sorted(missing or extra)[0])
-            report.divergence = "shard-parity"
-            report.detail = (
-                f"{label}: outcome {witness} "
-                f"{'lost' if missing else 'invented'} by the sharded "
-                f"search ({len(missing)} missing, {len(extra)} extra)"
-            )
-            return report
-        if sharded.truncated != ra_full.truncated:
-            report.divergence = "shard-parity"
-            report.detail = (
-                f"{label}: truncation flag diverged "
-                f"({sharded.truncated} vs {ra_full.truncated})"
-            )
-            return report
-        if sharded.configs != ra_full.configs:
-            report.divergence = "shard-parity"
-            report.detail = (
-                f"{label}: visited {sharded.configs} distinct "
-                f"configurations vs the full search's {ra_full.configs} "
-                "(sharding must partition, not prune)"
-            )
-            return report
-
-    # 6. fault parity: injected faults must not change what the search
+    # 5. fault parity: injected faults must not change what the search
     # computes (DESIGN.md §16).  Leg (a) interrupts the RA exploration
     # after half its configurations and resumes from the checkpoint the
     # interrupt left behind; the stitched run must be exactly outcome-

@@ -44,9 +44,6 @@ class FuzzJob:
     #: replay lowered vs legacy interpretation step-for-step
     #: (the "lowering" oracle, DESIGN.md §12)
     check_lowering: bool = False
-    #: re-explore under shards=3 and require exact parity with the
-    #: single-process search (the "shard-parity" oracle, DESIGN.md §15)
-    check_shards: bool = False
     #: interrupt the search mid-run, resume from the checkpoint, and
     #: require byte-identical results; also fail one spill write and
     #: require recovery (the "fault-parity" oracle, DESIGN.md §16)
@@ -86,8 +83,7 @@ def _check(job: FuzzJob, case: GeneratedCase) -> OracleReport:
     return check_program(
         case, axiomatic=job.axiomatic, max_configs=job.max_configs,
         reduction=job.reduction, check_orders=job.check_orders,
-        check_lowering=job.check_lowering, check_shards=job.check_shards,
-        check_faults=job.check_faults,
+        check_lowering=job.check_lowering, check_faults=job.check_faults,
     )
 
 
@@ -264,7 +260,6 @@ def fuzz_jobs(
     reduction: str = "optimal",
     check_orders: bool = False,
     check_lowering: bool = False,
-    check_shards: bool = False,
     check_faults: bool = False,
 ) -> List[FuzzJob]:
     """Slice ``iters`` cases into worker-sized chunks.
@@ -292,7 +287,6 @@ def fuzz_jobs(
             reduction=reduction,
             check_orders=check_orders,
             check_lowering=check_lowering,
-            check_shards=check_shards,
             check_faults=check_faults,
         )
         for start in range(0, iters, chunk)
@@ -310,7 +304,6 @@ def run_campaign(
     reduction: str = "optimal",
     check_orders: bool = False,
     check_lowering: bool = False,
-    check_shards: bool = False,
     check_faults: bool = False,
     progress: Optional[Callable] = None,
 ) -> CampaignReport:
@@ -326,8 +319,7 @@ def run_campaign(
         seed, iters, profile=profile, jobs=jobs, axiomatic=axiomatic,
         shrink=shrink, max_configs=max_configs, reduction=reduction,
         check_orders=check_orders,
-        check_lowering=check_lowering, check_shards=check_shards,
-        check_faults=check_faults,
+        check_lowering=check_lowering, check_faults=check_faults,
     )
     results = ParallelRunner(jobs=jobs).run(work, progress=progress)
     report = CampaignReport(seed=seed, iters=iters, profile=profile)

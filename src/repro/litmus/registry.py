@@ -93,7 +93,6 @@ def run_litmus(
     max_configs: Optional[int] = None,
     strategy: str = "bfs",
     reduction: str = "none",
-    shards: int = 1,
 ) -> LitmusOutcome:
     """Decide reachability of the test's outcome under ``model``.
 
@@ -101,9 +100,6 @@ def run_litmus(
     litmus verdicts are outcome-set properties of the terminal states,
     which every reduction preserves — the POR parity suite and CI job
     assert exactly this, verdict for verdict.
-    ``shards > 1`` partitions the single exploration across worker
-    shards (DESIGN.md §15) — outcome-identical by the sharding parity
-    contract, checked test by test in ``tests/test_shard_parity.py``.
     """
     model = model if model is not None else RAMemoryModel()
     result = explore(
@@ -114,7 +110,6 @@ def run_litmus(
         max_configs=max_configs,
         strategy=strategy,
         reduction=reduction,
-        shards=shards,
     )
     reachable = any(
         test.outcome(final_values(config)) for config in result.terminal

@@ -148,16 +148,10 @@ def format_list(records: List[dict], limit: int = 20) -> List[str]:
         )
         stats = record.get("stats", {})
         configs = stats.get("configs", "-")
-        # recovery history (DESIGN.md §16): mark resumed runs and runs
-        # that survived worker faults so `runs list` shows them at a
-        # glance; `runs diff` already compares the underlying counters
-        recovery = ""
-        if stats.get("resumed"):
-            recovery += " resumed"
-        if stats.get("faults"):
-            recovery += f" faults={stats['faults']}"
-        if stats.get("retries"):
-            recovery += f" retries={stats['retries']}"
+        # recovery history (DESIGN.md §16): mark resumed runs so `runs
+        # list` shows them at a glance; `runs diff` already compares the
+        # underlying counters
+        recovery = " resumed" if stats.get("resumed") else ""
         lines.append(
             f"{ts}  {record.get('git', '') or '-':>9}  "
             f"{record.get('cmd', '?'):<7} {record.get('verdict', '?'):<5} "

@@ -11,9 +11,8 @@ repaints a single ``\\r``-terminated stderr line::
     [suite] 12/48 jobs  8123 configs  3412 st/s  eta 9.2s  lag x2.1
 
 ``lag`` is the per-worker imbalance estimate: the slowest observed job
-wall time over the mean, a quick read on whether one shard is
-dominating the critical path (ROADMAP: deterministic partitioning a la
-Bobpp needs exactly this signal).
+wall time over the mean, a quick read on whether one job is
+dominating the critical path.
 
 Rendering is rate-limited (default 10 Hz) so a burst of tiny jobs does
 not spend its time painting the terminal, and suppressed entirely when

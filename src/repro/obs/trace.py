@@ -41,11 +41,6 @@ files against:
                ``dur``
 ``node``       ``run``, running config count ``n``, ``pcs``, key-cache
                ``keys`` ``[hits, misses]`` delta — sampled
-``shard``      one superstep of one shard of a sharded run
-               (DESIGN.md §15): ``run``, ``shard`` index, ``round``,
-               messages ``sent``/``recv``, next-level ``frontier`` size;
-               per-shard expand time lands in ``span`` records named
-               ``shard0``, ``shard1``, …
 ``race``       ``run``, ``tid``, conflicting ``vars``, ``pcs``
 ``view``       ``run``, scheduled reversing ``view`` (tid sequence),
                ``pcs``
@@ -59,8 +54,7 @@ files against:
 ``ckpt``       checkpoint activity (DESIGN.md §16): ``run``, ``path``,
                ``configs`` at the snapshot, ``action`` (``write``)
 ``fault``      fault-tolerance event: ``run``, ``kind``
-               (``interrupt``/``worker-death``/``respawn``/``degrade``),
-               free-form ``detail``
+               (``interrupt``), free-form ``detail``
 =============  ====================================================
 """
 
@@ -83,7 +77,6 @@ SCHEMA: Dict[str, frozenset] = {
     "span": frozenset({"run", "name", "dur"}),
     "run_end": frozenset({"run", "configs", "transitions", "truncated", "dur"}),
     "node": frozenset({"run", "n", "pcs", "keys"}),
-    "shard": frozenset({"run", "shard", "round", "sent", "recv", "frontier"}),
     "race": frozenset({"run", "tid", "vars", "pcs"}),
     "view": frozenset({"run", "view", "pcs"}),
     "prune": frozenset({"run", "kind", "pcs"}),

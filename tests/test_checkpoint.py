@@ -5,10 +5,8 @@ interrupted at an arbitrary point and resumed from its last snapshot
 must finish **byte-identically** to the run that was never interrupted
 — same configuration and transition counts, same truncation flags,
 same terminal outcome sets, same parent choices, same violations.  The
-matrix covers the single-process search and the sharded search
-(in-process supersteps and real worker processes), unreduced and under
-sleep sets, interrupted early and late via the deterministic
-``interrupt:configs=N`` fault.
+matrix covers the search unreduced and under sleep sets, interrupted
+early and late via the deterministic ``interrupt:configs=N`` fault.
 
 Half two pins the file format itself: snapshots are atomic,
 magic-tagged and fingerprinted, so a resume against the wrong file,
@@ -112,26 +110,6 @@ def test_single_process_kill_and_resume(tmp_path, reduction, interrupt_at):
     assert_identical(
         resumed, full, f"{reduction} interrupt@{interrupt_at}",
     )
-
-
-@pytest.mark.parametrize("reduction", ("none", "sleep"))
-def test_sharded_inprocess_kill_and_resume(tmp_path, reduction):
-    full = run_explore(reduction=reduction)
-    resumed = interrupt_and_resume(
-        tmp_path, 150, 50, reduction=reduction,
-        shards=4, shard_processes=False,
-    )
-    assert_identical(resumed, full, f"shards=4 in-process {reduction}")
-
-
-def test_sharded_process_mode_kill_and_resume(tmp_path):
-    """The acceptance row: --shards 4 with real workers, interrupted at
-    a superstep barrier, resumed to byte-identical results."""
-    full = run_explore()
-    resumed = interrupt_and_resume(
-        tmp_path, 150, 50, shards=4, shard_processes=True,
-    )
-    assert_identical(resumed, full, "shards=4 process-mode")
 
 
 def test_resume_before_first_checkpoint_reports_none(tmp_path):
@@ -244,36 +222,44 @@ def test_resume_rejects_a_different_bound(tmp_path):
         )
 
 
+def _fingerprint(**overrides):
+    """The fingerprint ``run_explore`` checks a resumed file against."""
+    from repro.interp.compiled import maybe_lower
+
+    fields = dict(
+        max_events=BOUND, max_configs=None, strategy="bfs",
+        reduction="none", canonicalize=True,
+    )
+    fields.update(overrides)
+    return run_fingerprint(
+        maybe_lower(peterson_program(once=True)), PETERSON_INIT,
+        RAMemoryModel(), **fields,
+    )
+
+
 def test_resume_rejects_a_different_shard_count(tmp_path):
-    """Shard count is part of the fingerprint: a single-process
-    snapshot cannot seed a sharded run."""
-    ckpt = str(tmp_path / "plain.ckpt")
-    set_plan(FaultPlan("interrupt:configs=100"))
-    try:
-        with pytest.raises(FaultInterrupt):
-            run_explore(checkpoint=ckpt, checkpoint_every=25)
-    finally:
-        clear_plan()
-    with pytest.raises(CheckpointError, match="belongs to a different run"):
-        run_explore(shards=4, shard_processes=False, resume=ckpt)
+    """A file from a sharded run (whose fingerprint carries a shard
+    count) cannot seed the search, even when every field this run
+    checks agrees: a field only the file carries is a mismatch too."""
+    path = str(tmp_path / "sharded.ckpt")
+    write_checkpoint(path, dict(_fingerprint(), shards=4), {"algo": "shard"})
+    with pytest.raises(CheckpointError, match="shards: checkpoint=4"):
+        run_explore(resume=path)
 
 
 def test_shard_resume_rejects_foreign_loop_state(tmp_path):
     """Defense in depth behind the fingerprint: a file that *claims*
-    the sharded run's fingerprint but holds another algorithm's loop
-    state is still refused."""
-    from repro.interp.compiled import maybe_lower
-
-    program = maybe_lower(peterson_program(once=True))
-    fingerprint = run_fingerprint(
-        program, PETERSON_INIT, RAMemoryModel(),
-        max_events=BOUND, max_configs=None, strategy="bfs",
-        reduction="none", canonicalize=True, shards=4,
-    )
+    this run's fingerprint but holds another algorithm's loop state
+    (the removed sharded search's among them) is still refused."""
     path = str(tmp_path / "wrong-algo.ckpt")
-    write_checkpoint(path, fingerprint, {"algo": "plain"})
-    with pytest.raises(CheckpointError, match="loop state"):
-        run_explore(shards=4, shard_processes=False, resume=path)
+    for reduction, algo in (
+        ("none", "shard"), ("none", "sleep"), ("sleep", "plain"),
+    ):
+        write_checkpoint(
+            path, _fingerprint(reduction=reduction), {"algo": algo},
+        )
+        with pytest.raises(CheckpointError, match="loop state"):
+            run_explore(reduction=reduction, resume=path)
 
 
 def test_checkpoint_validates_its_surface():

@@ -247,6 +247,63 @@ def test_removed_reduction_and_equivalence_flags_are_usage_errors(
     assert "invalid choice: 'dpor'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "{sb}", "--reduction", "optimal", "--spill"],
+         "repro run: error: visited-set spilling supports"),
+        (["run", "{sb}", "--reduction", "optimal", "--checkpoint", "{ckpt}"],
+         "repro run: error: checkpoint/resume supports the 'none'"),
+        (["run", "{sb}", "--strategy", "iddfs", "--checkpoint", "{ckpt}"],
+         "repro run: error: checkpoint/resume supports the 'bfs'"),
+        (["run", "{sb}", "--checkpoint-every", "0", "--checkpoint", "{ckpt}"],
+         "repro run: error: checkpoint_every must be >= 1"),
+        (["run", "{sb}", "--max-events", "-1"],
+         "repro run: error: max_events must be >= 0"),
+        (["run", "{sb}", "--inject-faults", "kill-worker:shard=0,round=1"],
+         "repro run: error: --inject-faults: unknown fault action"),
+        # the options of the removed sharded search
+        (["run", "{sb}", "--shards", "2"], "unrecognized arguments: --shards"),
+        (["suite", "--shards", "2"], "unrecognized arguments: --shards"),
+        (["fuzz", "--check-shards"],
+         "unrecognized arguments: --check-shards"),
+    ],
+    ids=[
+        "optimal-spill", "optimal-checkpoint", "iddfs-checkpoint",
+        "checkpoint-every-0", "negative-max-events", "kill-worker-fault",
+        "run-shards", "suite-shards", "fuzz-check-shards",
+    ],
+)
+def test_refused_options_are_usage_errors(
+    argv, message, sb_file, tmp_path, capsys
+):
+    """A refused option or combination exits 2 with argparse's
+    ``prog: error:`` line, not a traceback, and runs no search."""
+    ckpt = tmp_path / "run.ckpt"
+    argv = [a.format(sb=sb_file, ckpt=ckpt) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert "verdict" not in captured.out
+    assert not ckpt.exists()
+
+
+def test_fault_plan_from_the_environment_is_checked_up_front(
+    sb_file, capsys, monkeypatch
+):
+    monkeypatch.setenv("REPRO_FAULTS", "kill-worker:shard=0,round=1")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", sb_file])
+    assert exc.value.code == 2
+    assert (
+        "repro run: error: REPRO_FAULTS: unknown fault action 'kill-worker'"
+        in capsys.readouterr().err
+    )
+
+
 def test_suite_with_optimal_reduction_footer(capsys):
     assert main(["suite", "--reduction", "optimal", "--case-studies"]) == 0
     out = capsys.readouterr().out

@@ -214,22 +214,3 @@ def test_merge_round_folds_collector_counters():
     total.merge_round(EngineStats(gc_collections=3, time_gc=0.25))
     assert (total.gc_collections, total.time_gc) == (5, 0.75)
     assert "gc=5/750.0ms" in total.summary()
-
-
-def _collect(config):
-    gc.collect(0)
-    return []
-
-
-@pytest.mark.parametrize(
-    "processes", [False, True], ids=["inprocess", "processes"]
-)
-def test_sharded_search_counts_worker_collections(processes):
-    result = explore(
-        *_ring3_input(), max_events=6, shards=2, shard_processes=processes,
-        check_config=_collect,
-    )
-    assert result.configs == 507
-    # under process mode the hook ran in the workers, so these are
-    # their collections, folded by the shard merge
-    assert result.stats.gc_collections >= result.configs

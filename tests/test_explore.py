@@ -77,6 +77,34 @@ def test_max_configs_bound():
     assert result.configs <= 3
 
 
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"max_events": -1}, "max_events must be >= 0"),
+        ({"max_events": -7, "strategy": "iddfs"}, "max_events must be >= 0"),
+        ({"max_configs": 0}, "max_configs must be >= 1"),
+        ({"max_configs": -3}, "max_configs must be >= 1"),
+        ({"spill_max_bytes": 1024}, "spill_dir"),
+    ],
+)
+def test_nonsense_bounds_are_refused_up_front(kwargs, match):
+    """A bound that bounds nothing meaningful raises before any search
+    work, instead of returning a tiny truncated result."""
+    from repro.engine.core import OptionError
+
+    program = Program.parallel(assign("x", 1), assign("y", 1))
+    with pytest.raises(OptionError, match=match):
+        explore(program, {"x": 0, "y": 0}, RAMemoryModel(), **kwargs)
+    # OptionError is a ValueError, so existing callers keep working
+    assert issubclass(OptionError, ValueError)
+
+
+def test_zero_event_bound_is_a_real_bound():
+    program = Program.parallel(assign("x", 1), assign("y", 1))
+    result = explore(program, {"x": 0, "y": 0}, RAMemoryModel(), max_events=0)
+    assert result.truncated and result.configs == 1
+
+
 def test_counterexample_trace_reconstruction():
     program = Program.parallel(seq(assign("x", 1), assign("x", 2)))
 

@@ -14,7 +14,6 @@ CI runs this file in the chaos job.
 
 import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -42,34 +41,31 @@ def _no_leaked_plan():
 
 
 def test_spec_parses_every_action():
-    plan = FaultPlan(
-        "kill-worker:shard=1,round=2;delay-queue:ms=5,shard=0;"
-        "enospc:spill=3;interrupt:configs=100"
-    )
-    assert plan.kills == {(1, 2)}
-    assert plan.delays == {0: 0.005}
+    plan = FaultPlan("enospc:spill=3;interrupt:configs=100")
     assert plan.enospc_spill == 3
     assert plan.interrupt_configs == 100
     # the spec survives on the plan, so a fresh plan replays it
     replay = FaultPlan(plan.spec)
-    assert replay.kills == plan.kills
+    assert (replay.enospc_spill, replay.interrupt_configs) == (3, 100)
 
 
 def test_spec_accepts_repeats_and_blanks():
-    plan = FaultPlan("kill-worker:shard=0,round=1; ;kill-worker:shard=2,round=1")
-    assert plan.kills == {(0, 1), (2, 1)}
-    # a global delay has no shard key
-    assert FaultPlan("delay-queue:ms=7").delays == {None: 0.007}
+    # blank actions are skipped; a repeated action's last value wins
+    plan = FaultPlan("interrupt:configs=5; ;interrupt:configs=9;")
+    assert plan.interrupt_configs == 9
+    assert plan.enospc_spill is None
 
 
 @pytest.mark.parametrize(
     "spec,match",
     [
         ("explode:now=1", "unknown fault action"),
-        ("kill-worker:shard=one,round=2", "must be an integer"),
-        ("kill-worker:shard=1", "requires round"),
-        ("kill-worker:shard", "expected key=value"),
-        ("delay-queue:shard=1", "requires ms"),
+        # the actions of the removed sharded search
+        ("kill-worker:shard=0,round=1", "unknown fault action"),
+        ("delay-queue:ms=5", "unknown fault action"),
+        ("enospc:spill=two", "must be an integer"),
+        ("enospc", "requires spill"),
+        ("interrupt:configs", "expected key=value"),
         ("enospc:spill=0", "1-based"),
         ("interrupt:configs=0", "configs must be >= 1"),
         ("interrupt:configs=5,extra=1", "unknown parameter"),
@@ -85,14 +81,6 @@ def test_malformed_specs_are_rejected(spec, match):
 # ----------------------------------------------------------------------
 
 
-def test_kill_worker_fires_once_per_pair():
-    plan = FaultPlan("kill-worker:shard=1,round=2")
-    assert not plan.kill_worker_now(1, 1)
-    assert not plan.kill_worker_now(0, 2)
-    assert plan.kill_worker_now(1, 2)
-    assert not plan.kill_worker_now(1, 2)  # disarmed after firing
-
-
 def test_interrupt_fires_once_at_the_threshold():
     plan = FaultPlan("interrupt:configs=10")
     assert not plan.interrupt_due(9)
@@ -105,16 +93,6 @@ def test_enospc_dooms_exactly_the_nth_write():
     assert not plan.spill_write_fails()
     assert plan.spill_write_fails()
     assert not plan.spill_write_fails()
-
-
-def test_delay_send_is_shard_selective():
-    plan = FaultPlan("delay-queue:ms=40,shard=1")
-    t0 = time.perf_counter()
-    plan.delay_send(0)
-    assert time.perf_counter() - t0 < 0.02  # other shards unaffected
-    t0 = time.perf_counter()
-    plan.delay_send(1)
-    assert time.perf_counter() - t0 >= 0.03
 
 
 # ----------------------------------------------------------------------

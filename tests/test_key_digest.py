@@ -1,11 +1,13 @@
-"""Cross-process key hashing (DESIGN.md §15).
+"""Cross-process key encoding (DESIGN.md §15).
 
-Shard assignment routes every configuration through
-``shard_of(key_digest_for(key), N)``, so the digest must be a pure
-function of the key's *value* — identical in a forked worker, in a
-spawned (fresh-interpreter) worker, and across interpreter runs with
-different string-hash salts.  ``hash()`` guarantees none of that; these
-tests pin that the stable encoding and blake2b digest do.
+The spillable visited set stores every configuration key as its
+``encode_config_key`` bytes and indexes them by ``key_digest_of``, and
+a checkpoint carries those bytes into whatever interpreter resumes it.
+So the encoding and its digest must be pure functions of the key's
+*value* — identical in a forked worker, in a fresh interpreter, and
+across interpreter runs with different string-hash salts.  ``hash()``
+guarantees none of that; these tests pin that the stable encoding and
+blake2b digest do.
 """
 
 import multiprocessing
@@ -16,8 +18,8 @@ import sys
 import pytest
 
 from repro.c11.compact import CachedKey
-from repro.engine.keys import key_digest, shard_of, stable_encode
-from repro.engine.shard import key_digest_for
+from repro.engine.keys import stable_encode
+from repro.engine.visited import encode_config_key, key_digest_of
 from repro.interp.explore import explore
 from repro.interp.ra_model import RAMemoryModel
 from repro.litmus.suite import ALL_TESTS
@@ -28,7 +30,9 @@ def _sb_digests():
     test = ALL_TESTS[0]
     result = explore(test.program, test.init, RAMemoryModel(),
                      max_events=test.max_events)
-    return sorted(key_digest_for(key).hex() for key in result.parents)
+    return sorted(
+        key_digest_of(encode_config_key(key)).hex() for key in result.parents
+    )
 
 
 def test_stable_encode_is_injective_on_the_key_grammar():
@@ -53,34 +57,15 @@ def test_stable_encode_is_injective_on_the_key_grammar():
     # deterministic: same value, same bytes
     assert stable_encode(("x", 1, None)) == stable_encode(("x", 1, None))
     # ...with respect to *equality*: True == 1, so they must encode
-    # equally (a digest split along a bool/int seam would route equal
-    # keys to different shards)
+    # equally (the in-memory visited set merges them, and a spilled
+    # one must too)
     assert stable_encode((True,)) == stable_encode((1,))
     assert stable_encode((False,)) == stable_encode((0,))
 
 
-def test_key_digest_and_shard_of_are_stable_and_in_range():
-    key = ("prog", ("x", 1), ("y", 2))
-    digest = key_digest(key)
-    assert digest == key_digest(key)
-    assert isinstance(digest, bytes) and len(digest) == 16
-    for shards in range(1, 9):
-        dest = shard_of(digest, shards)
-        assert 0 <= dest < shards
-        assert dest == shard_of(digest, shards)
-
-
-def test_cached_key_digest_is_cached_and_value_faithful():
-    parts = (("x", 1), ("y", ("rlx", 0)))
-    wrapped = CachedKey(parts)
-    first = wrapped.digest()
-    assert wrapped.digest() is first  # cached attribute, not re-encoded
-    # the digest is a function of the parts, not of the wrapper object
-    assert CachedKey(parts).digest() == first
-    assert key_digest(wrapped) == key_digest(parts)
-
-
-def test_key_digest_for_routes_through_cached_key():
+def test_spill_encoding_routes_through_cached_key():
+    """An interned ``CachedKey`` encodes as its raw parts, so the
+    wrapped and the fresh tuple form of one key are one record."""
     test = ALL_TESTS[0]
     result = explore(test.program, test.init, RAMemoryModel(),
                      max_events=test.max_events)
@@ -89,9 +74,9 @@ def test_key_digest_for_routes_through_cached_key():
     ]
     assert cached, "RA canonical keys should be interned CachedKeys"
     program, state_key = cached[0]
-    assert key_digest_for((program, state_key)) == key_digest_for(
-        (program, CachedKey(state_key.parts))
-    )
+    enc = encode_config_key((program, state_key))
+    assert enc == encode_config_key((program, CachedKey(state_key.parts)))
+    assert enc == encode_config_key((program, state_key.parts))
 
 
 def test_digests_identical_in_forked_worker():

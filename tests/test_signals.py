@@ -2,14 +2,14 @@
 
 Two delivery paths for the same contract (DESIGN.md §16):
 
-* **SIGTERM mid-sharded-run** — a real ``repro run --shards 3``
-  subprocess is terminated mid-exploration.  It must exit nonzero,
-  leave no worker processes behind (no zombies, no orphaned fleet
-  wedging the queue), and leave its ``--checkpoint`` file valid — a
-  later ``--resume`` finishes the very search the signal cut short,
-  reporting the same counts as a run that was never touched.  The run
-  is slowed deterministically with a ``delay-queue`` fault, so the
-  signal always lands mid-flight without a giant workload.
+* **SIGTERM mid-run** — a real ``repro run --checkpoint`` subprocess is
+  terminated mid-exploration.  It must exit nonzero, leave no process
+  behind, and leave its ``--checkpoint`` file valid — a later
+  ``--resume`` finishes the very search the signal cut short, reporting
+  the same configurations, transitions, terminal states and outcome
+  verdict as a run that was never touched.  A snapshot after every
+  configuration slows the run enough that the signal always lands
+  mid-flight without a giant workload.
 * **Ctrl-C in the parallel suite runner** — ``ParallelRunner.run``
   must raise :class:`SuiteInterrupted` carrying every result completed
   before the interrupt, after terminating and joining its pool; the
@@ -18,6 +18,7 @@ Two delivery paths for the same contract (DESIGN.md §16):
 CI runs this file in the chaos job.
 """
 
+import json
 import os
 import re
 import signal
@@ -38,18 +39,19 @@ from repro.engine.parallel import (
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Three racing threads, bounded to 9 events: a few hundred
-#: configurations over ~9 BFS rounds — shape, not size, is the point.
+#: Three racing threads explored to exhaustion: 589 configurations,
+#: 129 of them terminal — shape, not size, is the point.
 WORKLOAD = """\
 C11 sig_workload (three threads of racing writes)
 { x = 0; y = 0; z = 0 }
 P1: x := 1; y := (x^A); z := (y || 1)
-P2: y := 2; z := (y^A); x := (z && 1)
-P3: z := 3; x := (z^A); y := (x || 2)
+P2: y := 2; z := (y^A)
+P3: z := 3; x := (z^A)
+exists (x = 1 /\\ y = 2 /\\ z = 3)
 """
 
 
-def spawn_run(litmus, *args):
+def spawn_run(litmus, metrics, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     env["REPRO_NO_LEDGER"] = "1"
@@ -57,7 +59,7 @@ def spawn_run(litmus, *args):
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "run", litmus,
-            "--shards", "3", "--max-events", "9", *args,
+            "--metrics", metrics, *args,
         ],
         cwd=REPO, env=env, start_new_session=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -65,7 +67,7 @@ def spawn_run(litmus, *args):
 
 
 def session_pids(sid):
-    """Every live pid in session ``sid`` (the spawned run's fleet)."""
+    """Every live pid in session ``sid`` (the spawned run's processes)."""
     out = subprocess.run(
         ["ps", "-eo", "pid=,sid="], capture_output=True, text=True,
     ).stdout
@@ -86,31 +88,40 @@ def wait_for(predicate, timeout, what):
     pytest.fail(f"timed out waiting for {what}")
 
 
-def configs_reported(stdout):
-    match = re.search(r"(\d+) configurations", stdout)
-    assert match, f"no configuration count in output:\n{stdout}"
-    return int(match.group(1))
+def finished_run(proc, metrics):
+    """The verdict line and counters of a run that exited 0."""
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    match = re.search(r"^sig_workload \[RA\]: .*$", out, re.MULTILINE)
+    assert match, f"no verdict line in output:\n{out}"
+    with open(metrics, encoding="utf-8") as handle:
+        counters = json.load(handle)["counters"]["cli"]
+    return match.group(0), counters, out
 
 
 @pytest.mark.parametrize("sig", [signal.SIGTERM])
 def test_sigterm_mid_sharded_run_is_clean_and_resumable(tmp_path, sig):
+    """Kept under its old name: it pinned the same contract on the
+    sharded search, which was removed (DESIGN.md §15)."""
     litmus = str(tmp_path / "sig_workload.litmus")
     with open(litmus, "w", encoding="utf-8") as handle:
         handle.write(WORKLOAD)
     ckpt = str(tmp_path / "sig.ckpt")
 
-    # the reference: the same run, never signalled, never slowed
-    clean = spawn_run(litmus)
-    out, err = clean.communicate(timeout=120)
-    assert clean.returncode == 0, err
-    expected = configs_reported(out)
+    # the reference: the same run, never signalled, never checkpointed
+    clean_metrics = str(tmp_path / "clean.json")
+    verdict, counters, _ = finished_run(
+        spawn_run(litmus, clean_metrics), clean_metrics,
+    )
+    assert counters["configs"] == 589 and counters["terminal"] == 129
+    assert "outcome reachable" in verdict
 
     victim = spawn_run(
-        litmus, "--checkpoint", ckpt, "--checkpoint-every", "1",
-        "--inject-faults", "delay-queue:ms=250",
+        litmus, str(tmp_path / "victim.json"),
+        "--checkpoint", ckpt, "--checkpoint-every", "1",
     )
     try:
-        # wait until at least one barrier snapshot landed, then strike
+        # wait until at least one snapshot landed, then strike
         wait_for(
             lambda: os.path.exists(ckpt) and victim.poll() is None,
             60, "a checkpoint from the victim run",
@@ -123,23 +134,27 @@ def test_sigterm_mid_sharded_run_is_clean_and_resumable(tmp_path, sig):
             victim.communicate()
     assert victim.returncode != 0, f"signalled run exited 0:\n{out}"
 
-    # the whole fleet is gone: no zombies, no orphaned workers
+    # nothing of the run survives it
     wait_for(
         lambda: not session_pids(victim.pid), 10,
-        "the worker fleet to disappear",
+        "the signalled run's processes to disappear",
     )
 
     # the snapshot the signal left behind is a valid, resumable
-    # repro-ckpt/1 file (atomic writes: never torn)
+    # repro-ckpt/1 file (atomic writes: never torn) taken mid-run
     _, payload = read_checkpoint(ckpt)
-    assert payload["algo"] == "shard"
-    assert len(payload["cores"]) == 3  # one pickled core per shard
-    assert payload["checkpoints"] >= 1
+    assert payload["algo"] == "plain"
+    assert payload["stats"].checkpoints >= 1
+    assert 0 < payload["configs"] < counters["configs"]
 
-    resumed = spawn_run(litmus, "--resume", ckpt, "--stats")
-    out, err = resumed.communicate(timeout=120)
-    assert resumed.returncode == 0, err
-    assert configs_reported(out) == expected
+    resumed_metrics = str(tmp_path / "resumed.json")
+    resumed_verdict, resumed, out = finished_run(
+        spawn_run(litmus, resumed_metrics, "--resume", ckpt, "--stats"),
+        resumed_metrics,
+    )
+    assert resumed_verdict == verdict
+    for field in ("configs", "transitions", "terminal"):
+        assert resumed[field] == counters[field], field
     assert "resumed" in out  # the stats footer says where it came from
 
 

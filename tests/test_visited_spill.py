@@ -9,8 +9,8 @@ the first-bytes filter into heavy collision territory and require every
 fresh-key query to come back negative.
 
 Lifecycle: spill directories are private to one exploration and must be
-removed on success *and* when a sharded worker crashes mid-run (the
-coordinator's ``finally`` sweeps the per-shard stores).
+removed on success *and* when a check hook crashes mid-run (the
+explorer's ``finally`` closes the store).
 """
 
 import os
@@ -157,7 +157,7 @@ def test_encode_config_key_rejects_raw_states():
 
 
 # ----------------------------------------------------------------------
-# Engine lifecycle: cleanup on success and on worker crash
+# Engine lifecycle: cleanup on success and on a crashing hook
 # ----------------------------------------------------------------------
 
 
@@ -193,46 +193,25 @@ def test_sleep_reduction_spill_parity_and_cleanup(tmp_path):
     assert not os.path.isdir(spill_dir)
 
 
-def test_sharded_spill_cleanup_on_success(tmp_path):
+@pytest.mark.parametrize("reduction", ("none", "sleep"))
+def test_spill_cleanup_on_hook_crash(tmp_path, reduction):
+    """A hook that blows up mid-run, after the store has spilled: the
+    crash propagates, and the explorer's ``finally`` removes the
+    store's directory."""
     test = ALL_TESTS[0]
     spill_dir = str(tmp_path / "spill")
-    os.makedirs(spill_dir)
-    result = explore(
-        test.program, test.init, RAMemoryModel(),
-        max_events=test.max_events, shards=3, shard_processes=True,
-        spill_dir=spill_dir, spill_max_entries=2,
-    )
-    assert result.stats.spills == 3  # one overflow per shard store
-    assert not any(
-        name.startswith("shard-") for name in os.listdir(spill_dir)
-    )
-
-
-def test_sharded_spill_cleanup_on_worker_crash(tmp_path):
-    """A hook that blows up inside a shard worker mid-run: the crash is
-    re-raised in the parent with the worker traceback, and the
-    coordinator's ``finally`` sweeps every per-shard spill store."""
-    test = ALL_TESTS[0]
-    spill_dir = str(tmp_path / "spill")
-    os.makedirs(spill_dir)
-
-    # crash only after a few configs so the worker's spill store exists
-    # (fork: each worker counts its own checks on its own copy)
     calls = {"n": 0}
 
     def exploding_check(config):
         calls["n"] += 1
-        if calls["n"] > 5:
-            raise RuntimeError("injected worker crash")
+        if calls["n"] > 5:  # past the 4-key budget: the store spilled
+            assert os.path.isdir(spill_dir)
+            raise RuntimeError("injected hook crash")
         return []
 
-    with pytest.raises(RuntimeError, match="injected worker crash"):
-        explore(
-            test.program, test.init, RAMemoryModel(),
-            max_events=test.max_events, shards=3, shard_processes=True,
-            spill_dir=spill_dir, spill_max_entries=2,
+    with pytest.raises(RuntimeError, match="injected hook crash"):
+        _explore_spilling(
+            test, spill_dir, reduction=reduction,
             check_config=exploding_check,
         )
-    assert not any(
-        name.startswith("shard-") for name in os.listdir(spill_dir)
-    )
+    assert not os.path.isdir(spill_dir)
